@@ -11,7 +11,6 @@
  *   eco_chip --batch requests.json [--engine_threads N] [--stream]
  *   eco_chip --search spec.json [--json FILE] [--report FILE]
  *            [--expand FILE] [--engine_threads N]
- *   eco_chip --shard requests.json --shards K [--json FILE]
  *   eco_chip --shard_worker sub_batch.json --json report.json
  *   eco_chip --coordinate requests.json --hosts hosts.json
  *            [--retries N] [--shard_timeout S] [--chunk_size N]
@@ -42,18 +41,12 @@
  *   --expand FILE      with --search: write the hand-expanded
  *                      request list as a --batch file (every
  *                      point of the space, odometer order)
- *   --shard FILE       split a batch across --shards worker
- *                      processes and merge their reports; the
- *                      merged BatchReport is byte-identical to
- *                      the --batch run
- *   --shards K         worker process count for --shard
- *                      (default 2; capped at the number of
- *                      distinct scenario bindings)
- *   --shard_dir DIR    keep sub-batch/report files in DIR
- *                      instead of a temp directory
+ *   --shard_dir DIR    with --coordinate: keep chunk, report
+ *                      and journal files in DIR instead of a
+ *                      temp directory
  *   --shard_worker F   run one sub-batch and write its
  *                      BatchReport JSON to the --json path
- *                      (what --shard fork/execs per shard)
+ *                      (what --coordinate runs per chunk)
  *   --coordinate FILE  pull-dispatch a batch's work chunks onto
  *                      the hosts of a --hosts manifest (local or
  *                      command transports), tail each worker's
@@ -63,9 +56,9 @@
  *   --hosts FILE       hosts.json manifest for --coordinate
  *                      (host name, slots, optional command
  *                      template -- see docs/distributed.md)
- *   --retries N        re-dispatches allowed per shard before
+ *   --retries N        re-dispatches allowed per chunk before
  *                      the coordinated run fails (default 2)
- *   --shard_timeout S  straggler deadline in seconds: a shard
+ *   --shard_timeout S  straggler deadline in seconds: a chunk
  *                      dispatch running longer is cancelled and
  *                      re-dispatched (default: no deadline)
  *   --chunk_size N     with --coordinate: target requests per
@@ -104,7 +97,7 @@
  *   --shutdown         with --connect: ask the server to drain
  *                      gracefully and exit
  *   --engine_threads N engine worker threads for --batch /
- *                      per-process for --shard/--shard_worker /
+ *                      per-process for --coordinate/--shard_worker /
  *                      the --serve engine pool
  *                      (default: one per hardware thread;
  *                      results are bit-identical at any count)
@@ -132,6 +125,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <filesystem>
@@ -165,7 +159,6 @@ struct CliOptions
     std::string searchPath;
     std::string searchReportPath;
     std::string searchExpandPath;
-    std::string shardPath;
     std::string shardWorkerPath;
     std::string shardDir;
     std::string scenariosPath;
@@ -182,9 +175,6 @@ struct CliOptions
 
     /** Unset means an unbounded result cache. */
     std::optional<int> cacheEntries;
-
-    /** Unset means the default of 2 worker processes. */
-    std::optional<int> shards;
 
     /** Unset means the coordinator default of 2 re-dispatches. */
     std::optional<int> retries;
@@ -220,8 +210,8 @@ printUsage(std::ostream &os)
     os << "usage: eco_chip (--design_dir DIR | --scenario NAME |"
           " --batch FILE |\n"
           "    --search FILE [--report FILE] [--expand FILE] |\n"
-          "    --shard FILE --shards K | --shard_worker FILE |\n"
-          "    --coordinate FILE --hosts HOSTS.json |\n"
+          "    --coordinate FILE --hosts HOSTS.json |"
+          " --shard_worker FILE |\n"
           "    --serve --socket PATH | --connect PATH)\n"
           "    [--node_list 7,10,14] [--montecarlo N]"
           " [--threads T] [--cost]\n"
@@ -335,10 +325,6 @@ parseArgs(int argc, char **argv)
             opts.searchReportPath = next_value();
         } else if (arg == "--expand") {
             opts.searchExpandPath = next_value();
-        } else if (arg == "--shard") {
-            opts.shardPath = next_value();
-        } else if (arg == "--shards") {
-            opts.shards = parsePositiveInt(arg, next_value());
         } else if (arg == "--shard_dir") {
             opts.shardDir = next_value();
         } else if (arg == "--shard_worker") {
@@ -424,7 +410,6 @@ parseArgs(int argc, char **argv)
     }
     const bool batch_mode = !opts.batchPath.empty() ||
                             !opts.searchPath.empty() ||
-                            !opts.shardPath.empty() ||
                             !opts.shardWorkerPath.empty() ||
                             !opts.coordinatePath.empty() ||
                             opts.serve ||
@@ -438,7 +423,6 @@ parseArgs(int argc, char **argv)
              ? 1
              : 0) +
         (opts.searchPath.empty() ? 0 : 1) +
-        (opts.shardPath.empty() ? 0 : 1) +
         (opts.shardWorkerPath.empty() ? 0 : 1) +
         (opts.coordinatePath.empty() ? 0 : 1) +
         (opts.serve ? 1 : 0) +
@@ -446,9 +430,9 @@ parseArgs(int argc, char **argv)
     requireConfig(sources == 1 ||
                       (sources == 0 && opts.listScenarios),
                   "exactly one of --design_dir / --scenario / "
-                  "--batch / --search / --shard / "
-                  "--shard_worker / --coordinate / --serve / "
-                  "--connect is required");
+                  "--batch / --search / --shard_worker / "
+                  "--coordinate / --serve / --connect is "
+                  "required");
     requireConfig(opts.searchReportPath.empty() ||
                       !opts.searchPath.empty(),
                   "--report writes a search's BatchReport; it "
@@ -467,7 +451,7 @@ parseArgs(int argc, char **argv)
     requireConfig(!opts.engineThreads ||
                       (batch_mode && opts.connectPath.empty()),
                   "--engine_threads sizes an engine pool; it "
-                  "requires --batch, --shard, --shard_worker, "
+                  "requires --batch, --shard_worker, "
                   "--coordinate, or --serve");
     requireConfig(!opts.stream || (!opts.batchPath.empty() &&
                                    opts.connectPath.empty()),
@@ -505,17 +489,13 @@ parseArgs(int argc, char **argv)
                       opts.connectPath.empty(),
                   "--scenarios loads the serving catalog; pass "
                   "it to --serve, not --connect");
-    requireConfig(!opts.shards || !opts.shardPath.empty(),
-                  "--shards sizes the worker-process fleet; it "
-                  "requires --shard");
     requireConfig(opts.shardDir.empty() ||
-                      !opts.shardPath.empty() ||
                       !opts.coordinatePath.empty(),
-                  "--shard_dir keeps shard scratch files; it "
-                  "requires --shard or --coordinate");
+                  "--shard_dir keeps the coordinator's scratch "
+                  "files; it requires --coordinate");
     requireConfig(opts.coordinatePath.empty() ||
                       !opts.hostsPath.empty(),
-                  "--coordinate dispatches shards onto a host "
+                  "--coordinate dispatches chunks onto a host "
                   "manifest; --hosts HOSTS.json is required");
     requireConfig(opts.hostsPath.empty() ||
                       !opts.coordinatePath.empty(),
@@ -523,13 +503,13 @@ parseArgs(int argc, char **argv)
                   "manifest; it requires --coordinate");
     requireConfig((!opts.retries && !opts.shardTimeout) ||
                       !opts.coordinatePath.empty(),
-                  "--retries/--shard_timeout tune the shard "
+                  "--retries/--shard_timeout tune the "
                   "coordinator; they require --coordinate");
     requireConfig((!opts.chunkSize && !opts.progress &&
                    !opts.resume && !opts.abortAfterFailures) ||
                       !opts.coordinatePath.empty(),
                   "--chunk_size/--progress/--resume/"
-                  "--abort_after_failures tune the dynamic "
+                  "--abort_after_failures tune the "
                   "coordinator; they require --coordinate");
     requireConfig(!opts.resume || !opts.shardDir.empty(),
                   "--resume replays the outcome journal of a "
@@ -540,13 +520,12 @@ parseArgs(int argc, char **argv)
                   "--json path; --json FILE is required");
     requireConfig(!opts.markdownPath ||
                       (opts.searchPath.empty() &&
-                       opts.shardPath.empty() &&
                        opts.shardWorkerPath.empty() &&
                        opts.coordinatePath.empty() &&
                        opts.connectPath.empty()),
                   "--markdown applies to --design_dir/--scenario/"
-                  "--batch runs, not search, shard, or server "
-                  "modes");
+                  "--batch runs, not search, coordinate, or "
+                  "server modes");
     requireConfig(opts.threads == 1 || opts.monteCarloTrials > 0,
                   "--threads batches Monte-Carlo trials; it "
                   "requires --montecarlo");
@@ -947,7 +926,7 @@ runConnect(const CliOptions &opts)
 }
 
 /**
- * Path of this binary, for re-exec'ing it as shard workers.
+ * Path of this binary, for re-exec'ing it as chunk workers.
  * Prefers /proc/self/exe (immune to PATH and cwd changes) and
  * falls back to argv[0].
  */
@@ -962,37 +941,60 @@ selfExecutable(const char *argv0)
 
 /**
  * Per-request status lines for a merged BatchReport document --
- * the same shape --batch prints, parsed back from the merged
- * JSON so shard and coordinate modes share one path.
+ * the same shape --batch prints, scanned from the merged compact
+ * text without a DOM of the whole report. Only each outcome's
+ * small "request" span is parsed, so kind/binding print through
+ * the same typed path as the --batch status lines.
  */
 void
-printMergedOutcomes(const std::vector<json::Value> &outcomes)
+printMergedOutcomes(const std::string &report_text)
 {
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const json::Value &outcome = outcomes[i];
-        const bool ok = outcome.booleanOr("ok", false);
-        // Parse the request back so kind/binding print through
-        // the same typed path as the --batch status lines.
-        const AnalysisRequest request =
-            requestFromJson(outcome.at("request"));
-        std::cout << "  [" << (ok ? "ok" : "FAILED") << "] #"
-                  << i << " " << toString(request.kind()) << " "
-                  << request.scenario.label();
-        if (ok)
-            std::cout << " -- "
-                      << outcome.at("result").stringOr("detail",
-                                                       "");
-        else
-            std::cout << " -- " << outcome.stringOr("error", "");
-        std::cout << "\n";
+    json::ondemand::Scanner scanner(report_text);
+    scanner.beginObject();
+    std::string key;
+    std::size_t index = 0;
+    while (scanner.nextMember(key)) {
+        if (key != "outcomes") {
+            scanner.rawValue();
+            continue;
+        }
+        scanner.beginArray();
+        while (scanner.nextElement()) {
+            bool ok = false;
+            std::string_view request;
+            std::string detail;
+            scanner.beginObject();
+            while (scanner.nextMember(key)) {
+                if (key == "request") {
+                    request = scanner.rawValue();
+                } else if (key == "ok") {
+                    ok = scanner.boolean();
+                } else if (key == "error") {
+                    detail = scanner.string();
+                } else if (key == "result") {
+                    const auto span = scanner.rawValue();
+                    if (const auto d = json::ondemand::findMember(
+                            span, "detail"))
+                        detail = json::ondemand::Scanner(*d).string();
+                } else {
+                    scanner.rawValue();
+                }
+            }
+            const AnalysisRequest parsed =
+                requestFromJson(json::parse(std::string(request)));
+            std::cout << "  [" << (ok ? "ok" : "FAILED") << "] #"
+                      << index++ << " " << toString(parsed.kind())
+                      << " " << parsed.scenario.label() << " -- "
+                      << detail << "\n";
+        }
     }
+    scanner.expectEnd();
 }
 
 /**
  * Write the merged report pretty-printed to @p path -- the same
- * bytes `json::writeFile(mergedReport, path)` produces, but
- * transcoded straight from the compact merge text (one scan, no
- * DOM).
+ * bytes `--batch --json` writes, transcoded straight from the
+ * compact merge text (one scan, no DOM).
  */
 void
 writeMergedReportFile(const std::string &report_text,
@@ -1003,50 +1005,6 @@ writeMergedReportFile(const std::string &report_text,
                   "cannot write JSON file: " + path);
     out << json::ondemand::reserialize(report_text, true)
         << '\n';
-}
-
-/**
- * Coordinate a sharded batch: fork/exec one `--shard_worker`
- * process per shard, merge the reports, and print the same
- * per-request status lines as --batch. Returns 1 when any
- * request failed.
- */
-int
-runShard(const CliOptions &opts, const char *argv0)
-{
-    ShardedRunOptions run;
-    run.batchPath = opts.shardPath;
-    run.shards = opts.shards.value_or(2);
-    // Unset: automatic (the machine divided between the workers
-    // actually planned).
-    run.engineThreadsPerWorker = opts.engineThreads.value_or(0);
-    run.shardDir = opts.shardDir;
-    run.workerExe = selfExecutable(argv0);
-    run.scenariosPath = opts.scenariosPath;
-
-    const ShardedRunResult result = runShardedBatch(run);
-
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
-    std::cout << "shard: " << outcomes.size()
-              << " requests across " << result.shardsUsed
-              << " worker process(es), "
-              << result.threadsPerWorker
-              << " engine thread(s) each\n";
-    printMergedOutcomes(outcomes);
-    std::cout << result.succeeded << "/" << outcomes.size()
-              << " requests ok\n";
-    if (!opts.shardDir.empty())
-        std::cout << "shard scratch files kept in "
-                  << opts.shardDir << "\n";
-
-    if (opts.jsonPath) {
-        writeMergedReportFile(result.mergedReportText,
-                              *opts.jsonPath);
-        std::cout << "merged report written to "
-                  << *opts.jsonPath << "\n";
-    }
-    return result.allOk() ? 0 : 1;
 }
 
 /**
@@ -1065,8 +1023,8 @@ runCoordinate(const CliOptions &opts, const char *argv0)
     run.hosts = loadHostManifest(opts.hostsPath);
     run.retries = opts.retries.value_or(2);
     run.shardTimeoutSeconds = opts.shardTimeout.value_or(0.0);
-    // Unset: automatic (the machine divided between the shards
-    // actually planned).
+    // Unset: automatic (the machine divided between the workers
+    // that run at once).
     run.engineThreadsPerWorker = opts.engineThreads.value_or(0);
     run.shardDir = opts.shardDir;
     run.workerExe = selfExecutable(argv0);
@@ -1101,9 +1059,8 @@ runCoordinate(const CliOptions &opts, const char *argv0)
     const CoordinatedRunResult result =
         runDynamicCoordinatedBatch(run);
 
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
-    std::cout << "coordinate: " << outcomes.size()
+    const std::size_t total = result.succeeded + result.failed;
+    std::cout << "coordinate: " << total
               << " requests across " << run.hosts.hosts.size()
               << " host(s) / " << run.hosts.totalSlots()
               << " slot(s), " << result.chunksPlanned
@@ -1113,8 +1070,8 @@ runCoordinate(const CliOptions &opts, const char *argv0)
         std::cout << "resumed " << result.resumedOutcomes
                   << " journaled outcome(s); they were not "
                   << "re-run\n";
-    printMergedOutcomes(outcomes);
-    std::cout << result.succeeded << "/" << outcomes.size()
+    printMergedOutcomes(result.mergedReportText);
+    std::cout << result.succeeded << "/" << total
               << " requests ok, " << result.redispatches
               << " re-dispatch(es)\n";
     if (result.aborted)
@@ -1141,28 +1098,25 @@ run(int argc, char **argv)
 {
     const CliOptions opts = parseArgs(argc, argv);
 
-    // Server modes manage their own registries, like the shard
-    // modes below.
+    // Server modes manage their own registries, like the worker
+    // and coordinator modes below.
     if (opts.serve)
         return runServe(opts);
 
     if (!opts.connectPath.empty())
         return runConnect(opts);
 
-    // Shard modes manage their own registries (the worker loads
-    // builtin + catalogs itself, once per process).
+    // Worker and coordinator modes manage their own registries
+    // (the worker loads builtin + catalogs itself, once per
+    // process).
     if (!opts.shardWorkerPath.empty())
         // Always stream: the event file beside the report is
-        // what a dynamic coordinator tails, and harmless
-        // otherwise.
+        // what the coordinator tails, and harmless otherwise.
         return runShardWorker(
             opts.shardWorkerPath, *opts.jsonPath,
             opts.engineThreads.value_or(
                 Parallelism::hardware().threads),
             opts.scenariosPath, eventsPathFor(*opts.jsonPath));
-
-    if (!opts.shardPath.empty())
-        return runShard(opts, argv[0]);
 
     if (!opts.coordinatePath.empty())
         return runCoordinate(opts, argv[0]);

@@ -24,7 +24,6 @@
 #include "core/testcases.h"
 #include "engine/analysis_engine.h"
 #include "engine/shard_coordinator.h"
-#include "engine/shard_runner.h"
 #include "floorplan/floorplan.h"
 #include "io/batch_report_io.h"
 #include "io/request_io.h"
@@ -184,7 +183,8 @@ BM_FloorplanExhaustive(benchmark::State &state)
 }
 BENCHMARK(BM_FloorplanExhaustive)->Arg(4)->Arg(16)->Arg(64);
 
-/** The EngineBatch request mix, shared with BM_ShardedBatch. */
+/** The EngineBatch request mix, shared with the coordinator
+ *  benchmarks. */
 std::vector<AnalysisRequest>
 engineBatchRequests()
 {
@@ -241,114 +241,14 @@ BENCHMARK(BM_EngineBatch)
     ->UseRealTime();
 
 void
-BM_ShardedBatch(benchmark::State &state)
-{
-    // Process-level scaling of the same mix EngineBatch measures
-    // thread-level scaling on: each iteration shards the batch
-    // file across N forked worker processes (2 engine threads
-    // each) and merges the per-shard reports. Arg(1) is the
-    // one-process baseline, so the fork/serialize/merge overhead
-    // stays visible next to the 2- and 4-process speedups.
-    const int processes = static_cast<int>(state.range(0));
-    const auto requests = engineBatchRequests();
-
-    const auto dir =
-        std::filesystem::temp_directory_path() /
-        "ecochip_bench_sharded";
-    std::filesystem::create_directories(dir);
-    const std::string batch_path =
-        (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
-
-    ShardedRunOptions options;
-    options.batchPath = batch_path;
-    options.shards = processes;
-    options.engineThreadsPerWorker = 2;
-
-    for (auto _ : state) {
-        const ShardedRunResult result =
-            runShardedBatch(options);
-        if (!result.allOk()) {
-            state.SkipWithError("sharded batch failed");
-            break;
-        }
-        benchmark::DoNotOptimize(result);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(requests.size()));
-    std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ShardedBatch)
-    ->Name("ShardedBatch")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void
-BM_CoordinatedBatch(benchmark::State &state)
-{
-    // Host-level scaling of the same mix, one layer up: each
-    // iteration coordinates the batch file across N one-slot
-    // local hosts (2 engine threads per worker) through the
-    // shard coordinator's dispatch loop, so its scheduling,
-    // polling, and merge overhead stays measured next to
-    // ShardedBatch's raw fork/merge numbers. Arg(1) is the
-    // one-host baseline.
-    const int host_count = static_cast<int>(state.range(0));
-    const auto requests = engineBatchRequests();
-
-    const auto dir =
-        std::filesystem::temp_directory_path() /
-        "ecochip_bench_coordinated";
-    std::filesystem::create_directories(dir);
-    const std::string batch_path =
-        (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
-
-    CoordinatorOptions options;
-    options.batchPath = batch_path;
-    for (int h = 0; h < host_count; ++h)
-        options.hosts.hosts.push_back(
-            {"local-" + std::to_string(h), 1, ""});
-    options.engineThreadsPerWorker = 2;
-
-    for (auto _ : state) {
-        const CoordinatedRunResult result =
-            runCoordinatedBatch(options);
-        if (!result.allOk()) {
-            state.SkipWithError("coordinated batch failed");
-            break;
-        }
-        benchmark::DoNotOptimize(result);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(requests.size()));
-    std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CoordinatedBatch)
-    ->Name("CoordinatedBatch")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void
 BM_DynamicCoordinatedBatch(benchmark::State &state)
 {
-    // The pull-queue scheduler over the same mix and the same
-    // N one-slot local hosts as CoordinatedBatch: measures what
-    // chunked dispatch, event tailing, journaling, and
-    // incremental merge cost next to the static plan-and-wait
-    // loop.
+    // Host-level scaling of the EngineBatch mix: each iteration
+    // coordinates the batch file across N one-slot local hosts
+    // (fork-only workers, 2 engine threads each), so chunked
+    // dispatch, event tailing, journaling, and incremental merge
+    // stay measured next to EngineBatch's in-process numbers.
+    // Arg(1) is the one-host baseline.
     const int host_count = static_cast<int>(state.range(0));
     const auto requests = engineBatchRequests();
 
@@ -471,51 +371,13 @@ skewedHostOptions(const std::string &batch_path,
 constexpr double kSkewPerRequestSeconds = 0.03;
 
 void
-BM_StaticSkewedHosts(benchmark::State &state)
-{
-    // The straggler problem the pull queue exists to fix: the
-    // static planner deals ~half the batch to the slow host up
-    // front and the run ends only when that half drains through
-    // the 30 ms/request host.
-    const auto requests = engineBatchRequests();
-    const auto dir =
-        std::filesystem::temp_directory_path() /
-        "ecochip_bench_skew_static";
-    std::filesystem::create_directories(dir);
-    const std::string batch_path =
-        (dir / "batch.json").string();
-    json::Value doc = json::Value::makeObject();
-    doc.set("requests", requestsToJson(requests));
-    json::writeFile(doc, batch_path);
-
-    CoordinatorOptions options =
-        skewedHostOptions(batch_path, kSkewPerRequestSeconds);
-    for (auto _ : state) {
-        const CoordinatedRunResult result =
-            runCoordinatedBatch(options);
-        if (!result.allOk()) {
-            state.SkipWithError("skewed static run failed");
-            break;
-        }
-        benchmark::DoNotOptimize(result);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(requests.size()));
-    std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_StaticSkewedHosts)
-    ->Name("StaticSkewedHosts")
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void
 BM_DynamicSkewedHosts(benchmark::State &state)
 {
-    // Same fleet, pull queue: the slow host only ever holds one
-    // small chunk, the fast host steals the rest of the queue,
-    // and the wall clock tracks the fast host's throughput
-    // instead of the straggler's.
+    // A fast and a 30 ms/request slow host under the pull queue:
+    // the slow host only ever holds one small chunk, the fast
+    // host steals the rest of the queue, and the wall clock
+    // tracks the fast host's throughput instead of the
+    // straggler's.
     const auto requests = engineBatchRequests();
     const auto dir =
         std::filesystem::temp_directory_path() /

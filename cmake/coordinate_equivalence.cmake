@@ -1,9 +1,10 @@
 # CTest script: `eco_chip --coordinate --hosts HOSTS.json` must
 # produce a merged BatchReport byte-identical to the
-# single-process `--batch` run of the same file (the PR 5
-# acceptance gate, exercised here at the CLI level through the
-# command transport; tests/test_engine.cpp locks the same
-# property at the library level, with fault injection).
+# single-process `--batch` run of the same file, exercised at the
+# CLI level through whichever transport the manifest selects
+# (command templates, or the fork/exec local transport for hosts
+# without one); tests/test_engine.cpp locks the same property at
+# the library level, with fault injection.
 #
 # Variables: APP (eco_chip binary), BATCH (requests.json),
 #            HOSTS (hosts.json manifest),

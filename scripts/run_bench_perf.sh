@@ -11,6 +11,10 @@
 #
 #   scripts/run_bench_perf.sh BENCH_baseline.json
 #
+# Each benchmark runs 5 repetitions and the JSON keeps only the
+# mean/median/stddev/cv aggregates, so a snapshot carries its own
+# spread; compare medians, and distrust a row whose cv is large.
+#
 # Notes:
 #   - google-benchmark in this toolchain takes --benchmark_min_time
 #     as a plain double (seconds), without the "s" suffix.
@@ -37,6 +41,7 @@ cmake --build "${build_dir}" --target bench_perf -j >/dev/null
     --benchmark_out_format=json \
     --benchmark_out="${out}" \
     --benchmark_min_time=0.2 \
-    --benchmark_repetitions=1
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true
 
 echo "wrote ${out}"

@@ -24,17 +24,18 @@
  *    `runStream`, so the aggregate and streaming paths can never
  *    diverge.
  *
- * Batches also shard across *processes*: `engine/shard_planner.h`
- * splits a batch file into per-shard sub-batches (keeping equal
- * bindings together so context dedup survives the cut) and
- * `engine/shard_runner.h` runs them as worker processes and
- * merges the per-shard `BatchReport`s back into one report that
- * is byte-identical to the single-process run.
+ * Batches also run across *processes and hosts*:
+ * `engine/shard_coordinator.h` splits a batch file into work
+ * chunks (keeping equal bindings together so context dedup
+ * survives the cut), runs them as worker processes
+ * (`engine/shard_runner.h`) on the hosts of a manifest, and
+ * merges their outcomes back into one report that is
+ * byte-identical to the single-process run.
  *
  * Determinism is preserved end to end: every request evaluates
  * through the same `runSpec` executor the session verbs use, so a
- * `runBatch` at any thread count -- or sharded over any process
- * count -- is bit-identical to running the requests one by one
+ * `runBatch` at any thread count -- or coordinated over any
+ * process count -- is bit-identical to running the requests one by one
  * through `AnalysisSession` (equal seeds included).
  *
  * Wire formats (`requests.json` in, `BatchReport` JSON and NDJSON

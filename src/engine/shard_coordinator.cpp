@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "engine/analysis_engine.h"
-#include "engine/shard_planner.h"
 #include "engine/shard_runner.h"
 #include "engine/work_queue.h"
 #include "io/event_journal_io.h"
@@ -484,354 +483,6 @@ defaultTransport(const HostSpec &host)
 } // namespace
 
 CoordinatedRunResult
-runCoordinatedBatch(const CoordinatorOptions &options)
-{
-    const auto &hosts = options.hosts.hosts;
-    requireConfig(!hosts.empty(),
-                  "host manifest names no hosts");
-    requireConfig(options.retries >= 0,
-                  "--retries must be >= 0");
-    requireConfig(options.shardTimeoutSeconds >= 0.0,
-                  "--shard_timeout must be positive "
-                  "(0 disables the deadline)");
-    requireConfig(options.engineThreadsPerWorker >= 0,
-                  "engine threads per worker must be >= 1 "
-                  "(or 0 for automatic)");
-
-    const BatchFile batch = loadBatchFile(options.batchPath);
-    const ShardPlan plan =
-        planShards(batch.requests, options.hosts.totalSlots());
-
-    // Same auto sizing rule as the single-host runner: divide
-    // the machine between the shards actually planned.
-    const int worker_threads =
-        options.engineThreadsPerWorker > 0
-            ? options.engineThreadsPerWorker
-            : std::max(1,
-                       Parallelism::hardware().threads /
-                           static_cast<int>(plan.shardCount()));
-
-    const bool temporary = options.shardDir.empty();
-    const std::string dir =
-        temporary
-            ? (std::filesystem::temp_directory_path() /
-               ("ecochip_coordinate_" +
-                std::to_string(
-#if ECOCHIP_COORD_HAS_FORK
-                    static_cast<long>(getpid())
-#else
-                    0L
-#endif
-                        )))
-                  .string()
-            : options.shardDir;
-
-    std::vector<std::shared_ptr<ShardTransport>> transports;
-    transports.reserve(hosts.size());
-    for (const auto &host : hosts)
-        transports.push_back(options.transportFactory
-                                 ? options.transportFactory(host)
-                                 : defaultTransport(host));
-
-    CoordinatedRunResult result;
-    result.shardsUsed = plan.shardCount();
-    result.threadsPerWorker = worker_threads;
-    try {
-        result.shardFiles = writeShardFiles(batch, plan, dir);
-        for (const auto &shard_file : result.shardFiles)
-            result.reportFiles.push_back(shard_file + ".report");
-
-        // A reused shard_dir may hold the outcome journal of an
-        // earlier dynamic run; a fresh static run invalidates it,
-        // so unlink it exactly like stale shard reports -- a
-        // later --resume must never replay outcomes that do not
-        // belong to this directory's current contents.
-        std::error_code stale_journal_ec;
-        std::filesystem::remove(
-            std::filesystem::path(dir) / coordinatorJournalName(),
-            stale_journal_ec);
-
-        struct ShardState
-        {
-            std::size_t attempts = 0;
-            std::set<std::size_t> excludedHosts;
-            bool inFlight = false;
-            bool done = false;
-            std::size_t host = 0;
-            std::chrono::steady_clock::time_point started;
-
-            /** Report path of the live (then successful)
-             *  dispatch. */
-            std::string currentReport;
-        };
-        std::vector<ShardState> states(plan.shardCount());
-        std::vector<int> free_slots;
-        for (const auto &host : hosts)
-            free_slots.push_back(host.slots);
-        std::deque<std::size_t> ready;
-        for (std::size_t s = 0; s < plan.shardCount(); ++s)
-            ready.push_back(s);
-        std::size_t completed = 0;
-
-        const auto record_attempt =
-            [&](std::size_t shard, bool ok,
-                const std::string &reason) {
-                const ShardState &st = states[shard];
-                result.attempts.push_back(
-                    {shard, st.attempts - 1,
-                     hosts[st.host].name, ok, reason});
-            };
-
-        // A failed/cancelled dispatch frees its slot, burns one
-        // retry, excludes the host it failed on, and re-queues
-        // the shard -- or fails the whole run once the retry
-        // budget is spent.
-        const auto handle_failure = [&](std::size_t shard,
-                                        const std::string
-                                            &reason) {
-            ShardState &st = states[shard];
-            st.inFlight = false;
-            ++free_slots[st.host];
-            record_attempt(shard, false, reason);
-            if (static_cast<int>(st.attempts) >
-                options.retries) {
-                // The result (and its attempt history) never
-                // escapes on the error path, so the operator's
-                // per-attempt trail must ride in the message.
-                std::string history;
-                for (const auto &attempt : result.attempts)
-                    if (attempt.shard == shard)
-                        history += "\n  attempt #" +
-                                   std::to_string(
-                                       attempt.attempt) +
-                                   " on host '" + attempt.host +
-                                   "': " + attempt.reason;
-                throw Error(
-                    "shard #" + std::to_string(shard) + " (" +
-                    result.shardFiles[shard] +
-                    ") has no retries left after " +
-                    std::to_string(st.attempts) +
-                    " attempt(s); dispatch history:" + history);
-            }
-            st.excludedHosts.insert(st.host);
-            ++result.redispatches;
-            ready.push_back(shard);
-        };
-
-        // On any mid-run error (retries exhausted, transport
-        // failure), kill the other in-flight dispatches before
-        // unwinding -- orphaned workers must not race the
-        // scratch-directory cleanup below.
-        const auto cancel_in_flight = [&]() {
-            for (std::size_t shard = 0; shard < states.size();
-                 ++shard)
-                if (states[shard].inFlight)
-                    try {
-                        transports[states[shard].host]->cancel(
-                            shard);
-                    } catch (...) {
-                        // Best effort; keep the original error.
-                    }
-        };
-
-        try {
-            // Idle backoff: start fine-grained so short shards
-            // complete promptly, decay toward a coarse tick so
-            // hour-long dispatches do not busy-poll the
-            // coordinating node. Any progress resets it.
-            std::chrono::milliseconds idle_sleep{1};
-            constexpr std::chrono::milliseconds max_idle_sleep{
-                50};
-            while (completed < plan.shardCount()) {
-                // Dispatch: deal every ready shard a free slot on
-                // the first (manifest order) host it has not failed
-                // on; once a shard has failed everywhere, any host
-                // will do -- a one-host manifest must still be able
-                // to retry.
-                for (std::size_t n = ready.size(); n > 0; --n) {
-                    const std::size_t shard = ready.front();
-                    ready.pop_front();
-                    ShardState &st = states[shard];
-                    bool any_unexcluded = false;
-                    for (std::size_t h = 0; h < hosts.size(); ++h)
-                        if (st.excludedHosts.count(h) == 0)
-                            any_unexcluded = true;
-                    std::optional<std::size_t> chosen;
-                    for (std::size_t h = 0; h < hosts.size();
-                         ++h) {
-                        if (free_slots[h] <= 0)
-                            continue;
-                        if (any_unexcluded &&
-                            st.excludedHosts.count(h) != 0)
-                            continue;
-                        chosen = h;
-                        break;
-                    }
-                    if (!chosen) {
-                        ready.push_back(shard); // wait for a slot
-                        continue;
-                    }
-
-                    ShardDispatch dispatch;
-                    dispatch.shard = shard;
-                    dispatch.attempt = st.attempts;
-                    dispatch.host = hosts[*chosen].name;
-                    dispatch.subBatchPath =
-                        result.shardFiles[shard];
-                    // Retries write to a fresh per-attempt path:
-                    // a cancelled straggler whose worker outlives
-                    // the kill (an orphan behind ssh or a shell
-                    // wrapper) may still scribble on *its* report
-                    // file, and must never race the retry's
-                    // output or the final merge read.
-                    dispatch.reportPath =
-                        st.attempts == 0
-                            ? result.reportFiles[shard]
-                            : result.reportFiles[shard] +
-                                  ".retry" +
-                                  std::to_string(st.attempts);
-                    dispatch.eventsPath =
-                        eventsPathFor(dispatch.reportPath);
-                    dispatch.engineThreads = worker_threads;
-                    dispatch.scenariosPath = options.scenariosPath;
-                    dispatch.workerExe = options.workerExe;
-
-                    // A stale report (previous run, reused
-                    // shard_dir) must never merge as this
-                    // dispatch's output.
-                    std::error_code ec;
-                    std::filesystem::remove(dispatch.reportPath,
-                                            ec);
-                    std::filesystem::remove(dispatch.eventsPath,
-                                            ec);
-
-                    ++st.attempts;
-                    st.host = *chosen;
-                    st.currentReport = dispatch.reportPath;
-                    st.started = std::chrono::steady_clock::now();
-                    st.inFlight = true;
-                    --free_slots[*chosen];
-                    transports[*chosen]->start(dispatch);
-                }
-
-                // Poll: collect completions, cancel stragglers.
-                bool progressed = false;
-                for (std::size_t shard = 0; shard < states.size();
-                     ++shard) {
-                    ShardState &st = states[shard];
-                    if (!st.inFlight)
-                        continue;
-                    const auto code =
-                        transports[st.host]->poll(shard);
-                    if (code) {
-                        progressed = true;
-                        const bool exit_ok =
-                            *code == 0 || *code == 1;
-                        if (exit_ok &&
-                            std::filesystem::exists(
-                                st.currentReport)) {
-                            st.inFlight = false;
-                            st.done = true;
-                            ++free_slots[st.host];
-                            ++completed;
-                            // The merge (and the user-facing
-                            // listing) must read the attempt
-                            // that actually succeeded.
-                            result.reportFiles[shard] =
-                                st.currentReport;
-                            record_attempt(shard, true,
-                                           *code == 0
-                                               ? "ok"
-                                               : "requests "
-                                                 "failed");
-                        } else if (exit_ok) {
-                            handle_failure(
-                                shard,
-                                "exited " +
-                                    std::to_string(*code) +
-                                    " but wrote no report at " +
-                                    st.currentReport);
-                        } else {
-                            handle_failure(
-                                shard,
-                                "died with exit code " +
-                                    std::to_string(*code) +
-                                    " before writing its report");
-                        }
-                    } else if (options.shardTimeoutSeconds > 0.0) {
-                        const double elapsed =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                st.started)
-                                .count();
-                        if (elapsed >
-                            options.shardTimeoutSeconds) {
-                            progressed = true;
-                            transports[st.host]->cancel(shard);
-                            handle_failure(
-                                shard,
-                                "missed the " +
-                                    std::to_string(
-                                        options
-                                            .shardTimeoutSeconds) +
-                                    " s deadline (straggler "
-                                    "cancelled)");
-                        }
-                    }
-                }
-
-                if (progressed) {
-                    idle_sleep = std::chrono::milliseconds{1};
-                } else if (completed < plan.shardCount()) {
-                    std::this_thread::sleep_for(idle_sleep);
-                    idle_sleep =
-                        std::min(idle_sleep * 2, max_idle_sleep);
-                }
-            }
-        } catch (...) {
-            cancel_in_flight();
-            throw;
-        }
-
-        // Merge straight from the report bytes: the on-demand
-        // scanner scatters outcome spans, no per-shard DOM.
-        std::vector<std::string> reports;
-        reports.reserve(plan.shardCount());
-        for (const auto &report_file : result.reportFiles) {
-            std::ifstream in(report_file, std::ios::binary);
-            requireConfig(static_cast<bool>(in),
-                          "cannot open JSON file: " +
-                              report_file);
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            reports.push_back(buf.str());
-        }
-        result.mergedReportText =
-            mergeShardReportTexts(plan, reports, false);
-        result.mergedReport =
-            json::parse(result.mergedReportText);
-        result.succeeded = static_cast<std::size_t>(
-            result.mergedReport.at("succeeded").asInteger());
-        result.failed = static_cast<std::size_t>(
-            result.mergedReport.at("failed").asInteger());
-    } catch (...) {
-        if (temporary) {
-            std::error_code ec;
-            std::filesystem::remove_all(dir, ec);
-        }
-        throw;
-    }
-
-    if (temporary) {
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-        result.shardFiles.clear();
-        result.reportFiles.clear();
-    }
-    return result;
-}
-
-CoordinatedRunResult
 runDynamicCoordinatedBatch(const CoordinatorOptions &options)
 {
     const auto &hosts = options.hosts.hosts;
@@ -968,14 +619,12 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
                 : std::max(1, Parallelism::hardware().threads /
                                   concurrent);
 
-        result.shardsUsed = chunk_count;
         result.chunksPlanned = chunk_count;
         result.resumedOutcomes = resumed;
         result.threadsPerWorker = worker_threads;
         result.journalPath = journal_path;
-        result.shardFiles = writeChunkFiles(batch, plan, dir);
-        for (const auto &chunk_file : result.shardFiles)
-            result.reportFiles.push_back(chunk_file + ".report");
+        const std::vector<std::string> chunk_files =
+            writeChunkFiles(batch, plan, dir);
 
         struct ChunkState
         {
@@ -1093,16 +742,19 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
             bool any = false;
             ChunkState &st = states[chunk];
             for (const auto &line : st.events.poll()) {
+                // splitEventLine's scan validates the whole line;
+                // a parse error must still name the events file.
+                JournalEntryText entry;
                 try {
-                    json::ondemand::validate(line);
-                } catch (const std::exception &) {
+                    entry = splitEventLine(line, st.events.path());
+                } catch (const std::exception &e) {
                     throw ConfigError(
                         st.events.path() +
-                        ": malformed worker event line");
+                        ": malformed worker event line: " +
+                        e.what());
                 }
-                const JournalEntryText entry = splitEventLine(
-                    line, st.events.path());
-                deliver(chunk, entry.index, entry.outcome);
+                deliver(chunk, entry.index,
+                        std::move(entry.outcome));
                 any = true;
             }
             return any;
@@ -1150,7 +802,7 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
                                    "': " + attempt.reason;
                 throw Error(
                     "chunk #" + std::to_string(chunk) + " (" +
-                    result.shardFiles[chunk] +
+                    chunk_files[chunk] +
                     ") has no retries left after " +
                     std::to_string(st.attempts) +
                     " attempt(s); dispatch history:" + history);
@@ -1179,8 +831,10 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
             maybe_abort(); // resumed failures may already trip it
             while (completed + abandoned < chunk_count) {
                 // Pull: every free slot takes the next queued
-                // chunk it has not failed on (same host
-                // preference rules as the static scheduler).
+                // chunk on the first (manifest order) host it has
+                // not failed on; once a chunk has failed
+                // everywhere, any host will do -- a one-host
+                // manifest must still be able to retry.
                 for (std::size_t n = ready.size(); n > 0; --n) {
                     const std::size_t chunk = ready.front();
                     ready.pop_front();
@@ -1210,17 +864,19 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
                     dispatch.shard = chunk;
                     dispatch.attempt = st.attempts;
                     dispatch.host = hosts[*chosen].name;
-                    dispatch.subBatchPath =
-                        result.shardFiles[chunk];
-                    // Per-attempt report/event paths, for the
-                    // same orphaned-straggler reason as the
-                    // static scheduler.
+                    dispatch.subBatchPath = chunk_files[chunk];
+                    // Retries write to a fresh per-attempt path:
+                    // a cancelled straggler whose worker outlives
+                    // the kill (an orphan behind ssh or a shell
+                    // wrapper) may still scribble on *its* report
+                    // and event files, and must never race the
+                    // retry's output.
                     dispatch.reportPath =
-                        st.attempts == 0
-                            ? result.reportFiles[chunk]
-                            : result.reportFiles[chunk] +
-                                  ".retry" +
-                                  std::to_string(st.attempts);
+                        chunk_files[chunk] + ".report";
+                    if (st.attempts > 0)
+                        dispatch.reportPath +=
+                            ".retry" +
+                            std::to_string(st.attempts);
                     dispatch.eventsPath =
                         eventsPathFor(dispatch.reportPath);
                     dispatch.engineThreads = worker_threads;
@@ -1337,8 +993,6 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
                                   .inFlightChunks;
                             ++host_progress[st.host].doneChunks;
                             ++completed;
-                            result.reportFiles[chunk] =
-                                st.currentReport;
                             record_attempt(chunk, true,
                                            *code == 0
                                                ? "ok"
@@ -1442,12 +1096,8 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
 
         result.aborted = aborted;
         result.mergedReportText = merger.reportText(false);
-        result.mergedReport =
-            json::parse(result.mergedReportText);
-        result.succeeded = static_cast<std::size_t>(
-            result.mergedReport.at("succeeded").asInteger());
-        result.failed = static_cast<std::size_t>(
-            result.mergedReport.at("failed").asInteger());
+        result.succeeded = merger.doneCount() - merger.failedCount();
+        result.failed = merger.failedCount();
         emit_progress(true); // final snapshot
     } catch (...) {
         if (temporary) {
@@ -1460,8 +1110,6 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
     if (temporary) {
         std::error_code ec;
         std::filesystem::remove_all(dir, ec);
-        result.shardFiles.clear();
-        result.reportFiles.clear();
         result.journalPath.clear();
     }
     return result;

@@ -5,16 +5,9 @@
 #include <utility>
 
 #include "engine/analysis_engine.h"
-#include "engine/shard_coordinator.h"
 #include "io/batch_report_io.h"
 #include "io/request_io.h"
 #include "support/error.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ECOCHIP_HAS_FORK 1
-#else
-#define ECOCHIP_HAS_FORK 0
-#endif
 
 namespace ecochip {
 
@@ -67,58 +60,6 @@ runShardWorker(const std::string &sub_batch_path,
     }
     writeBatchReportFile(report, report_path);
     return report.allOk() ? 0 : 1;
-}
-
-ShardedRunResult
-runShardedBatch(const ShardedRunOptions &options)
-{
-#if !ECOCHIP_HAS_FORK
-    (void)options;
-    throw ConfigError(
-        "multi-process sharding requires a POSIX platform "
-        "(fork/exec); run the batch with AnalysisEngine::runBatch "
-        "instead");
-#else
-    requireConfig(options.shards >= 1,
-                  "--shards must be at least 1");
-    requireConfig(options.engineThreadsPerWorker >= 0,
-                  "engine threads per worker must be >= 1 "
-                  "(or 0 for automatic)");
-
-    // One synthetic host with --shards slots, no retries, no
-    // deadline: the coordinator's scheduling degenerates to
-    // exactly the old fork-K-workers-and-wait behavior, and the
-    // merge path is shared outright -- so the merged report
-    // stays byte-identical to the single-process --batch run.
-    CoordinatorOptions coordinate;
-    coordinate.batchPath = options.batchPath;
-    HostSpec host;
-    host.name = "localhost";
-    host.slots = options.shards;
-    coordinate.hosts.hosts = {std::move(host)};
-    coordinate.retries = 0;
-    coordinate.shardTimeoutSeconds = 0.0;
-    coordinate.engineThreadsPerWorker =
-        options.engineThreadsPerWorker;
-    coordinate.shardDir = options.shardDir;
-    coordinate.workerExe = options.workerExe;
-    coordinate.scenariosPath = options.scenariosPath;
-
-    CoordinatedRunResult coordinated =
-        runCoordinatedBatch(coordinate);
-
-    ShardedRunResult result;
-    result.mergedReport = std::move(coordinated.mergedReport);
-    result.mergedReportText =
-        std::move(coordinated.mergedReportText);
-    result.shardsUsed = coordinated.shardsUsed;
-    result.threadsPerWorker = coordinated.threadsPerWorker;
-    result.succeeded = coordinated.succeeded;
-    result.failed = coordinated.failed;
-    result.shardFiles = std::move(coordinated.shardFiles);
-    result.reportFiles = std::move(coordinated.reportFiles);
-    return result;
-#endif
 }
 
 } // namespace ecochip

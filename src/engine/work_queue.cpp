@@ -1,11 +1,12 @@
 #include "engine/work_queue.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "engine/shard_planner.h"
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
@@ -43,9 +44,9 @@ planChunksOver(const std::vector<AnalysisRequest> &requests,
     requireConfig(target_requests_per_chunk >= 1,
                   "--chunk_size must be at least 1");
 
-    // Group the given indices by binding, first-appearance order
-    // -- the same deterministic rule as planShards, so the plan
-    // is a pure function of the batch and the index list.
+    // Group the given indices by binding, first-appearance order,
+    // so the plan is a pure function of the batch and the index
+    // list.
     std::vector<std::vector<std::size_t>> groups;
     std::map<std::string, std::size_t> group_of;
     std::set<std::size_t> seen;
@@ -101,8 +102,52 @@ std::vector<std::string>
 writeChunkFiles(const BatchFile &batch, const ChunkPlan &plan,
                 const std::string &directory)
 {
-    return writeSubBatchFiles(batch, plan.chunks, directory,
-                              "chunk");
+    std::set<std::size_t> seen;
+    for (const auto &chunk : plan.chunks)
+        for (std::size_t index : chunk) {
+            requireConfig(index < batch.requests.size(),
+                          "sub-batch index " +
+                              std::to_string(index) +
+                              " is out of range (batch has " +
+                              std::to_string(
+                                  batch.requests.size()) +
+                              " requests)");
+            requireConfig(seen.insert(index).second,
+                          "sub-batch index " +
+                              std::to_string(index) +
+                              " appears in more than one chunk");
+        }
+    std::filesystem::create_directories(directory);
+
+    // The catalog path was resolved against the original batch
+    // file, but may still be cwd-relative; the sub-batches live
+    // in another directory, so pin it down to an absolute path.
+    std::string catalog;
+    if (batch.scenarioCatalog)
+        catalog = std::filesystem::absolute(*batch.scenarioCatalog)
+                      .lexically_normal()
+                      .string();
+
+    std::vector<std::string> paths;
+    paths.reserve(plan.chunkCount());
+    for (std::size_t c = 0; c < plan.chunkCount(); ++c) {
+        json::Value doc = json::Value::makeObject();
+        if (!catalog.empty())
+            doc.set("scenarios", catalog);
+        json::Value requests = json::Value::makeArray();
+        for (std::size_t index : plan.chunks[c])
+            requests.append(
+                requestToJson(batch.requests[index]));
+        doc.set("requests", std::move(requests));
+
+        char name[32];
+        std::snprintf(name, sizeof(name), "chunk_%03zu.json", c);
+        const std::string path =
+            (std::filesystem::path(directory) / name).string();
+        json::writeFile(doc, path);
+        paths.push_back(path);
+    }
+    return paths;
 }
 
 IncrementalMerger::IncrementalMerger(std::size_t total_requests)
@@ -137,13 +182,6 @@ IncrementalMerger::add(std::size_t index,
 }
 
 bool
-IncrementalMerger::add(std::size_t index,
-                       const json::Value &outcome)
-{
-    return add(index, outcome.dump(false));
-}
-
-bool
 IncrementalMerger::filled(std::size_t index) const
 {
     return index < slots_.size() && slots_[index].filled;
@@ -163,7 +201,7 @@ std::string
 IncrementalMerger::reportText(bool pretty) const
 {
     requireModel(complete(),
-                 "report() on an incomplete merge (" +
+                 "reportText() on an incomplete merge (" +
                      std::to_string(done_) + " of " +
                      std::to_string(slots_.size()) +
                      " outcomes)");
@@ -189,12 +227,6 @@ IncrementalMerger::reportText(bool pretty) const
     writer.endArray();
     writer.endObject();
     return writer.take();
-}
-
-json::Value
-IncrementalMerger::report() const
-{
-    return json::parse(reportText(false));
 }
 
 } // namespace ecochip

@@ -1,26 +1,25 @@
 /**
  * @file
- * The dynamic coordinator's work-queue building blocks: chunk
- * planning and the incremental (streaming) report merge.
+ * The coordinator's work-queue building blocks: chunk planning
+ * and the incremental (streaming) report merge.
  *
- * Where the static planner (`engine/shard_planner.h`) deals the
- * whole batch into exactly one sub-batch per host slot up front,
- * the dynamic scheduler wants *many more chunks than slots* so
- * fast hosts can keep pulling work while a slow host grinds on
- * one chunk. The planning rule is otherwise the same: requests
- * are grouped by scenario binding and whole groups travel
- * together, so every request against one binding still lands in
- * the same worker process and the engine's `EvaluationContext`
- * deduplication survives the cut.
+ * The scheduler (`engine/shard_coordinator.h`) wants *many more
+ * chunks than slots* so fast hosts can keep pulling work while a
+ * slow host grinds on one chunk. Requests are grouped by
+ * scenario binding and whole groups travel together, so every
+ * request against one binding lands in the same worker process
+ * and the engine's `EvaluationContext` deduplication survives
+ * the cut.
  *
  * The merge side is incremental: outcomes arrive one stream
  * event at a time (in whatever order hosts deliver them), the
  * merger scatters each to its original batch index exactly once,
  * and the final document is a pure function of the outcome *set*
  * -- merge order can never change the report bytes, which keeps
- * the dynamic run byte-identical to single-process `--batch`
+ * the coordinated run byte-identical to single-process `--batch`
  * (locked by `tests/test_engine.cpp` and the
- * `coordinate_equivalence` / `coordinate_resume` CTests).
+ * `coordinate_equivalence` / `shard_equivalence` /
+ * `coordinate_resume` CTests).
  *
  * Orchestration lives in `engine/shard_coordinator.h`; the
  * on-disk event formats in `io/event_journal_io.h`.
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "io/request_io.h"
-#include "json/json.h"
 #include "session/analysis_request.h"
 
 namespace ecochip {
@@ -89,11 +87,17 @@ planChunksOver(const std::vector<AnalysisRequest> &requests,
 
 /**
  * Write one sub-batch file per chunk into @p directory
- * (`chunk_000.json`, `chunk_001.json`, ...), each loadable by
- * `loadBatchFile` / runnable by `eco_chip --shard_worker` --
- * the chunk-flavored `writeShardFiles`.
+ * (`chunk_000.json`, `chunk_001.json`, ...). Each file is a
+ * regular batch document -- `{"requests": [...]}`, plus the
+ * original batch's `"scenarios"` catalog path, made absolute,
+ * when @p batch names one -- loadable by `loadBatchFile` and thus
+ * runnable by `eco_chip --shard_worker`. The plan may cover a
+ * subset of the batch (a resumed run re-plans only the
+ * unfinished requests).
  *
  * @return The sub-batch file paths, in chunk order.
+ * @throws ConfigError when an index is out of range or appears
+ *         in more than one chunk.
  */
 std::vector<std::string>
 writeChunkFiles(const BatchFile &batch, const ChunkPlan &plan,
@@ -128,10 +132,6 @@ class IncrementalMerger
      */
     bool add(std::size_t index, std::string outcome_text);
 
-    /** DOM convenience: canonicalizes and delegates to the
-     *  text overload. */
-    bool add(std::size_t index, const json::Value &outcome);
-
     /** True when @p index already has an outcome. */
     bool filled(std::size_t index) const;
 
@@ -155,13 +155,6 @@ class IncrementalMerger
      * (`requireModel`).
      */
     std::string reportText(bool pretty) const;
-
-    /**
-     * The merged `BatchReport` document. All indices must be
-     * filled (`requireModel`); byte-identical to the
-     * single-process report over the same outcomes.
-     */
-    json::Value report() const;
 
   private:
     struct Slot

@@ -8,12 +8,12 @@
  * `docs/file_formats.md`):
  *
  *  - **BatchReport JSON** (`--batch --json`, `--shard_worker`
- *    reports, `--shard` merged output): one object
+ *    reports, `--coordinate` merged output): one object
  *    `{"succeeded": N, "failed": M, "outcomes": [...]}` whose
- *    outcomes sit in request order. Shard workers write this
- *    format to disk and the shard merge step reassembles the
- *    per-shard documents into one report that is byte-identical
- *    to the single-process run.
+ *    outcomes sit in request order. Coordinator workers write
+ *    this format to disk, and the coordinator's merge reassembles
+ *    their outcomes into one report that is byte-identical to the
+ *    single-process run.
  *
  *  - **NDJSON stream events** (`--batch --stream`): one compact
  *    JSON object per line, emitted in completion order as worker

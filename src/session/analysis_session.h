@@ -10,10 +10,10 @@
  * `engine/AnalysisEngine` (`submit()` futures, completion-order
  * `runStream()` callbacks, or aggregate `runBatch()`), which
  * deduplicates scenario contexts across requests. Whole batches
- * scale past one process through the shard planner/runner
- * (`engine/shard_planner.h`, `engine/shard_runner.h`): sub-batch
- * files per worker process, reports merged byte-identical to the
- * single-process run. The session remains the right tool for
+ * scale past one process through the coordinator
+ * (`engine/shard_coordinator.h`): binding-cohesive sub-batch
+ * files per worker process or host, outcomes merged
+ * byte-identical to the single-process run. The session remains the right tool for
  * interactive, one-at-a-time use; its verbs are thin adapters
  * that build the equivalent request spec and run it inline
  * through the same `runSpec` executor the engine schedules, so

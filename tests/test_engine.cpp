@@ -4,8 +4,9 @@
  * engine: JSON round-trips, batch-vs-session bit-equality at any
  * thread count, per-request failure isolation, scenario catalog
  * loading, completion-order streaming, and multi-process
- * sharding (merged shard reports byte-identical to the
- * single-process run).
+ * coordination (merged reports byte-identical to the
+ * single-process run under any host count, chunking, fault, or
+ * resume point).
  */
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 
 #include "engine/analysis_engine.h"
 #include "engine/shard_coordinator.h"
-#include "engine/shard_planner.h"
 #include "engine/shard_runner.h"
 #include "engine/thread_pool.h"
 #include "engine/work_queue.h"
@@ -29,6 +29,7 @@
 #include "io/event_journal_io.h"
 #include "io/request_io.h"
 #include "io/result_writer.h"
+#include "json/ondemand.h"
 #include "support/error.h"
 
 #ifndef ECOCHIP_DATA_DIR
@@ -645,87 +646,7 @@ TEST(Stream, NdjsonEventsRoundTripThroughRequestIo)
     EXPECT_EQ(indices.size(), requests.size());
 }
 
-// ------------------------------------------------ shard planning
-
-TEST(ShardPlanner, KeepsBindingsTogetherAndDealsRoundRobin)
-{
-    // Bindings A B C A B A: groups appear in order A, B, C.
-    std::vector<AnalysisRequest> requests = {
-        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
-        {ScenarioRef::scenario("emr"), EstimateSpec{}},
-        {ScenarioRef::scenario("a15"), EstimateSpec{}},
-        {ScenarioRef::scenario("ga102"), CostSpec{}},
-        {ScenarioRef::scenario("emr"), CostSpec{}},
-        {ScenarioRef::scenario("ga102"), SensitivitySpec{}},
-    };
-
-    const ShardPlan plan = planShards(requests, 2);
-    ASSERT_EQ(plan.shardCount(), 2u);
-    EXPECT_EQ(plan.requestCount(), requests.size());
-    // Round-robin by group: shard 0 gets ga102 + a15, shard 1
-    // gets emr; indices ascend within each shard.
-    EXPECT_EQ(plan.shards[0],
-              (std::vector<std::size_t>{0, 2, 3, 5}));
-    EXPECT_EQ(plan.shards[1],
-              (std::vector<std::size_t>{1, 4}));
-
-    // A binding never straddles shards, at any shard count.
-    for (int shards : {1, 2, 3, 4, 8}) {
-        const ShardPlan p = planShards(requests, shards);
-        EXPECT_LE(p.shardCount(),
-                  static_cast<std::size_t>(3));
-        EXPECT_EQ(p.requestCount(), requests.size());
-        std::map<std::string, std::size_t> home;
-        std::set<std::size_t> all;
-        for (std::size_t s = 0; s < p.shardCount(); ++s) {
-            EXPECT_FALSE(p.shards[s].empty());
-            for (std::size_t index : p.shards[s]) {
-                all.insert(index);
-                const std::string key =
-                    requests[index].scenario.label();
-                const auto it = home.find(key);
-                if (it == home.end()) {
-                    home.emplace(key, s);
-                } else {
-                    EXPECT_EQ(it->second, s) << key;
-                }
-            }
-        }
-        EXPECT_EQ(all.size(), requests.size());
-    }
-
-    EXPECT_THROW(planShards({}, 2), ConfigError);
-    EXPECT_THROW(planShards(requests, 0), ConfigError);
-}
-
-TEST(ShardPlanner, MergeRejectsMalformedShardReports)
-{
-    const std::vector<AnalysisRequest> requests = {
-        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
-        {ScenarioRef::scenario("emr"), EstimateSpec{}},
-    };
-    const ShardPlan plan = planShards(requests, 2);
-
-    // Wrong report count.
-    EXPECT_THROW(mergeShardReports(plan, {}), ConfigError);
-
-    // Not a BatchReport document.
-    EXPECT_THROW(
-        mergeShardReports(
-            plan, {json::parse("[]"), json::parse("{}")}),
-        ConfigError);
-
-    // Outcome count disagrees with the plan.
-    const json::Value one_outcome = json::parse(
-        R"({"outcomes": [{"ok": true}]})");
-    EXPECT_THROW(
-        mergeShardReports(
-            plan,
-            {json::parse(R"({"outcomes": []})"), one_outcome}),
-        ConfigError);
-}
-
-// ------------------------------------------------ sharded runs
+// ------------------------------------------------ coordinated runs
 
 /** data/requests path of the shipped tree. */
 std::string
@@ -736,45 +657,83 @@ shippedBatchPath()
         .string();
 }
 
+/** Pretty-printed single-process report of @p requests -- the
+ *  bytes `--batch --json` writes. Scoped so the engine's pool
+ *  threads are joined before a coordinated run forks workers. */
+std::string
+singleProcessReport(const std::vector<AnalysisRequest> &requests)
+{
+    AnalysisEngine engine(4);
+    return batchReportToJson(engine.runBatch(requests)).dump(true);
+}
+
+/** A coordinated run's merged report in the same spelling. */
+std::string
+prettyReport(const CoordinatedRunResult &result)
+{
+    return json::ondemand::reserialize(result.mergedReportText,
+                                       true);
+}
+
+/** A manifest of @p count local-transport hosts, 1 slot each. */
+HostManifest
+localHosts(std::size_t count)
+{
+    HostManifest manifest;
+    for (std::size_t i = 0; i < count; ++i)
+        manifest.hosts.push_back(
+            {"local-" + std::to_string(i), 1, ""});
+    return manifest;
+}
+
+/** A shared TestTransport wired as every host's transport. */
+CoordinatorOptions
+testTransportOptions(const std::string &batch_path,
+                     std::size_t host_count,
+                     std::shared_ptr<TestTransport> transport)
+{
+    CoordinatorOptions options;
+    options.batchPath = batch_path;
+    options.hosts = localHosts(host_count);
+    options.engineThreadsPerWorker = 2;
+    options.transportFactory =
+        [transport](const HostSpec &) { return transport; };
+    return options;
+}
+
 TEST(ShardRunner, MergedShardReportsAreByteIdenticalToOneProcess)
 {
-    // The acceptance gate: the shipped 13-request batch run as
-    // 1/2/4 worker processes merges to the byte-identical
-    // BatchReport JSON of the single-process runBatch.
+    // The migration path of the old `--shard F --shards K`: one
+    // local host with K slots and chunks of ceil(n/K) requests,
+    // run as K forked worker processes, merges to the
+    // byte-identical BatchReport JSON of the single-process
+    // runBatch.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
+    const std::string single = singleProcessReport(batch.requests);
+    const int n = static_cast<int>(batch.requests.size());
 
-    // Scoped so the engine's pool threads are joined before the
-    // sharded runs fork worker processes.
-    std::string single;
-    {
-        AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
-    }
-
-    for (int shards : {1, 2, 4}) {
-        ShardedRunOptions options;
+    for (int slots : {1, 2, 4}) {
+        CoordinatorOptions options;
         options.batchPath = shippedBatchPath();
-        options.shards = shards;
+        options.hosts.hosts = {{"localhost", slots, ""}};
+        options.chunkTargetRequests = (n + slots - 1) / slots;
         options.engineThreadsPerWorker = 2;
         // No workerExe: fork-without-exec library mode.
-        const ShardedRunResult result =
-            runShardedBatch(options);
-        EXPECT_EQ(result.shardsUsed,
-                  static_cast<std::size_t>(
-                      std::min(shards, 9))); // 9 bindings
+        const CoordinatedRunResult result =
+            runDynamicCoordinatedBatch(options);
         EXPECT_TRUE(result.allOk());
-        EXPECT_EQ(result.mergedReport.dump(true), single)
-            << shards << " shards";
+        EXPECT_EQ(result.succeeded, batch.requests.size());
+        EXPECT_EQ(result.attempts.size(), result.chunksPlanned);
+        EXPECT_EQ(prettyReport(result), single)
+            << slots << " slots";
     }
 }
 
 TEST(ShardRunner, FailedRequestsSurviveTheShardCut)
 {
-    // A sub-batch with a failing request: the worker exits 1,
-    // the report still merges, and the failure lands at its
-    // original index.
+    // A chunk with a failing request, run by a forked worker:
+    // the worker exits 1, its outcomes still merge, and the
+    // failure lands at its original index.
     const auto dir =
         std::filesystem::path(::testing::TempDir()) /
         "ecochip_shard_failures";
@@ -793,18 +752,23 @@ TEST(ShardRunner, FailedRequestsSurviveTheShardCut)
     doc.set("requests", requestsToJson(requests));
     json::writeFile(doc, batch_path);
 
-    ShardedRunOptions options;
+    CoordinatorOptions options;
     options.batchPath = batch_path;
-    options.shards = 3;
+    options.hosts = localHosts(3);
+    options.chunkTargetRequests = 1;
+    options.engineThreadsPerWorker = 1;
     options.shardDir = (dir / "shards").string();
-    const ShardedRunResult result = runShardedBatch(options);
+    const CoordinatedRunResult result =
+        runDynamicCoordinatedBatch(options);
 
-    EXPECT_EQ(result.shardsUsed, 3u);
+    EXPECT_EQ(result.chunksPlanned, 3u);
     EXPECT_EQ(result.succeeded, 2u);
     EXPECT_EQ(result.failed, 1u);
+    EXPECT_EQ(result.redispatches, 0u);
     EXPECT_FALSE(result.allOk());
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
+    const json::Value report =
+        json::parse(result.mergedReportText);
+    const auto &outcomes = report.at("outcomes").asArray();
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_TRUE(outcomes[0].at("ok").asBoolean());
     EXPECT_FALSE(outcomes[1].at("ok").asBoolean());
@@ -814,9 +778,11 @@ TEST(ShardRunner, FailedRequestsSurviveTheShardCut)
     EXPECT_TRUE(outcomes[2].at("ok").asBoolean());
 
     // Scratch files were kept (explicit shardDir).
-    EXPECT_EQ(result.shardFiles.size(), 3u);
-    for (const auto &path : result.shardFiles)
-        EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    for (const char *name :
+         {"chunk_000.json", "chunk_001.json", "chunk_002.json"})
+        EXPECT_TRUE(std::filesystem::exists(
+            std::filesystem::path(options.shardDir) / name))
+            << name;
 
     std::filesystem::remove_all(dir);
 }
@@ -824,10 +790,10 @@ TEST(ShardRunner, FailedRequestsSurviveTheShardCut)
 TEST(ShardRunner, RelativeCatalogPathsSurviveTheShardCut)
 {
     // Regression: a batch named by a cwd-relative path whose
-    // "scenarios" catalog is batch-relative used to break under
-    // sharding -- the sub-batch files live in another directory,
-    // so the stored catalog path resolved against the wrong
-    // base. writeShardFiles must pin it to an absolute path.
+    // "scenarios" catalog is batch-relative used to break when
+    // split -- the sub-batch files live in another directory, so
+    // the stored catalog path resolved against the wrong base.
+    // writeChunkFiles must pin it to an absolute path.
     const auto dir =
         std::filesystem::path(::testing::TempDir()) /
         "ecochip_shard_rel_catalog";
@@ -856,20 +822,38 @@ TEST(ShardRunner, RelativeCatalogPathsSurviveTheShardCut)
     ASSERT_FALSE(
         std::filesystem::path(relative_batch).is_absolute());
 
-    ShardedRunOptions options;
-    options.batchPath = relative_batch;
-    options.shards = 2;
-    options.shardDir = (dir / "shards").string();
-    const ShardedRunResult result = runShardedBatch(options);
-    EXPECT_EQ(result.shardsUsed, 2u);
-    EXPECT_TRUE(result.allOk()) << result.mergedReport.dump();
+    const BatchFile batch = loadBatchFile(relative_batch);
+    const ChunkPlan plan = planChunks(batch.requests, 1);
+    ASSERT_EQ(plan.chunkCount(), 2u);
+    const auto files =
+        writeChunkFiles(batch, plan, (dir / "chunks").string());
+    ASSERT_EQ(files.size(), 2u);
+    for (std::size_t c = 0; c < files.size(); ++c) {
+        const BatchFile chunk = loadBatchFile(files[c]);
+        ASSERT_TRUE(chunk.scenarioCatalog.has_value());
+        EXPECT_TRUE(std::filesystem::path(*chunk.scenarioCatalog)
+                        .is_absolute())
+            << *chunk.scenarioCatalog;
+        const std::string report =
+            files[c] + ".report";
+        EXPECT_EQ(runShardWorker(files[c], report, 1), 0)
+            << files[c];
+    }
+
+    // Out-of-range and repeated indices are rejected.
+    EXPECT_THROW(writeChunkFiles(batch, ChunkPlan{{{0, 2}}},
+                                 (dir / "bad").string()),
+                 ConfigError);
+    EXPECT_THROW(writeChunkFiles(batch, ChunkPlan{{{0}, {0}}},
+                                 (dir / "bad").string()),
+                 ConfigError);
 
     std::filesystem::remove_all(dir);
 }
 
 TEST(ShardRunner, WorkerRoundTripsItsSubBatchThroughRequestIo)
 {
-    // runShardWorker end to end on one file: the report's
+    // runShardWorker end to end on one chunk file: the report's
     // requests parse back (NDJSON/report round-trip through
     // request_io) and match the sub-batch on disk.
     const auto dir =
@@ -879,10 +863,11 @@ TEST(ShardRunner, WorkerRoundTripsItsSubBatchThroughRequestIo)
     std::filesystem::create_directories(dir);
 
     const BatchFile batch = loadBatchFile(shippedBatchPath());
-    const ShardPlan plan = planShards(batch.requests, 4);
+    const ChunkPlan plan = planChunks(batch.requests, 4);
     const auto files =
-        writeShardFiles(batch, plan, dir.string());
-    ASSERT_EQ(files.size(), 4u);
+        writeChunkFiles(batch, plan, dir.string());
+    ASSERT_EQ(files.size(), plan.chunkCount());
+    ASSERT_GE(files.size(), 2u);
 
     const std::string report_path =
         (dir / "report.json").string();
@@ -892,62 +877,25 @@ TEST(ShardRunner, WorkerRoundTripsItsSubBatchThroughRequestIo)
 
     const json::Value report = json::parseFile(report_path);
     const auto &outcomes = report.at("outcomes").asArray();
-    ASSERT_EQ(outcomes.size(), plan.shards[0].size());
+    ASSERT_EQ(outcomes.size(), plan.chunks[0].size());
     for (std::size_t j = 0; j < outcomes.size(); ++j) {
         const AnalysisRequest request = requestFromJson(
             outcomes[j].at("request"));
         EXPECT_TRUE(request ==
-                    batch.requests[plan.shards[0][j]]);
+                    batch.requests[plan.chunks[0][j]]);
     }
 
     std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------------ coordinator
-
-/** A manifest of @p count local-transport hosts, 1 slot each. */
-HostManifest
-localHosts(std::size_t count)
-{
-    HostManifest manifest;
-    for (std::size_t i = 0; i < count; ++i)
-        manifest.hosts.push_back(
-            {"local-" + std::to_string(i), 1, ""});
-    return manifest;
-}
-
-/** A shared TestTransport wired as every host's transport. */
-CoordinatorOptions
-testTransportOptions(const std::string &batch_path,
-                     std::size_t host_count,
-                     std::shared_ptr<TestTransport> transport)
-{
-    CoordinatorOptions options;
-    options.batchPath = batch_path;
-    options.hosts = localHosts(host_count);
-    options.engineThreadsPerWorker = 2;
-    options.transportFactory =
-        [transport](const HostSpec &) { return transport; };
-    return options;
-}
-
 TEST(Coordinator, MergedReportByteIdenticalAtOneTwoFourHosts)
 {
     // The acceptance gate: the shipped 13-request batch
-    // coordinated across 1/2/4 hosts merges to the
-    // byte-identical BatchReport JSON of the single-process
-    // runBatch.
+    // coordinated across 1/2/4 one-slot local hosts (forked
+    // workers) merges to the byte-identical BatchReport JSON of
+    // the single-process runBatch.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
-
-    // Scoped so the engine's pool threads are joined before the
-    // coordinated runs fork worker processes.
-    std::string single;
-    {
-        AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
-    }
+    const std::string single = singleProcessReport(batch.requests);
 
     for (std::size_t hosts : {1u, 2u, 4u}) {
         CoordinatorOptions options;
@@ -956,31 +904,23 @@ TEST(Coordinator, MergedReportByteIdenticalAtOneTwoFourHosts)
         options.engineThreadsPerWorker = 2;
         // No workerExe: fork-without-exec library mode.
         const CoordinatedRunResult result =
-            runCoordinatedBatch(options);
-        EXPECT_EQ(result.shardsUsed,
-                  std::min<std::size_t>(hosts, 9)); // 9 bindings
+            runDynamicCoordinatedBatch(options);
         EXPECT_TRUE(result.allOk());
         EXPECT_EQ(result.redispatches, 0u);
-        EXPECT_EQ(result.attempts.size(), result.shardsUsed);
-        EXPECT_EQ(result.mergedReport.dump(true), single)
+        EXPECT_EQ(result.attempts.size(), result.chunksPlanned);
+        EXPECT_EQ(prettyReport(result), single)
             << hosts << " hosts";
     }
 }
 
 TEST(Coordinator, RetriesFailedShardOnAnotherHost)
 {
-    // Shard 0's first dispatch dies without a report: the
+    // Chunk 0's first dispatch dies without a report: the
     // coordinator must retry it on a *different* host and the
     // merged report must still be byte-identical to the
     // single-process run.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
-    std::string single;
-    {
-        AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
-    }
+    const std::string single = singleProcessReport(batch.requests);
 
     auto transport = std::make_shared<TestTransport>();
     transport->injectFailures(0, 1);
@@ -989,28 +929,28 @@ TEST(Coordinator, RetriesFailedShardOnAnotherHost)
     options.retries = 2;
 
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
     EXPECT_TRUE(result.allOk());
     EXPECT_EQ(result.redispatches, 1u);
-    EXPECT_EQ(result.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(result), single);
 
-    // Dispatch history: shard 0 ran twice, on distinct hosts,
+    // Dispatch history: chunk 0 ran twice, on distinct hosts,
     // and the retry wrote to a fresh per-attempt report path
     // (so an orphaned first attempt can never race it).
-    std::vector<std::string> shard0_hosts;
-    std::vector<std::string> shard0_reports;
+    std::vector<std::string> chunk0_hosts;
+    std::vector<std::string> chunk0_reports;
     for (const auto &dispatch : transport->history())
         if (dispatch.shard == 0) {
-            shard0_hosts.push_back(dispatch.host);
-            shard0_reports.push_back(dispatch.reportPath);
+            chunk0_hosts.push_back(dispatch.host);
+            chunk0_reports.push_back(dispatch.reportPath);
         }
-    ASSERT_EQ(shard0_hosts.size(), 2u);
-    EXPECT_NE(shard0_hosts[0], shard0_hosts[1]);
-    ASSERT_EQ(shard0_reports.size(), 2u);
-    EXPECT_NE(shard0_reports[0], shard0_reports[1]);
-    EXPECT_NE(shard0_reports[1].find(".retry1"),
+    ASSERT_EQ(chunk0_hosts.size(), 2u);
+    EXPECT_NE(chunk0_hosts[0], chunk0_hosts[1]);
+    ASSERT_EQ(chunk0_reports.size(), 2u);
+    EXPECT_NE(chunk0_reports[0], chunk0_reports[1]);
+    EXPECT_NE(chunk0_reports[1].find(".retry1"),
               std::string::npos)
-        << shard0_reports[1];
+        << chunk0_reports[1];
 
     // The attempt record mirrors it: one failure, then ok.
     std::size_t failed_attempts = 0;
@@ -1022,17 +962,11 @@ TEST(Coordinator, RetriesFailedShardOnAnotherHost)
 
 TEST(Coordinator, StragglerIsCancelledAndRedispatched)
 {
-    // Shard 0's first dispatch hangs: the deadline must cancel
+    // Chunk 0's first dispatch hangs: the deadline must cancel
     // it, re-dispatch (on the other host), and the merged
     // report must still be byte-identical.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
-    std::string single;
-    {
-        AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
-    }
+    const std::string single = singleProcessReport(batch.requests);
 
     auto transport = std::make_shared<TestTransport>();
     transport->injectHangs(0, 1);
@@ -1042,15 +976,15 @@ TEST(Coordinator, StragglerIsCancelledAndRedispatched)
     options.shardTimeoutSeconds = 0.05;
 
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
     EXPECT_TRUE(result.allOk());
     EXPECT_EQ(transport->cancelled(), 1u);
     EXPECT_EQ(result.redispatches, 1u);
-    EXPECT_EQ(result.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(result), single);
 
     bool deadline_recorded = false;
     for (const auto &attempt : result.attempts)
-        if (!attempt.ok &&
+        if (attempt.shard == 0 && !attempt.ok &&
             attempt.reason.find("deadline") !=
                 std::string::npos)
             deadline_recorded = true;
@@ -1069,14 +1003,14 @@ TEST(Coordinator, SingleHostRetriesInPlace)
     options.retries = 1;
 
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
     EXPECT_TRUE(result.allOk());
     EXPECT_EQ(result.redispatches, 1u);
-    std::size_t shard0_dispatches = 0;
+    std::size_t chunk0_dispatches = 0;
     for (const auto &dispatch : transport->history())
         if (dispatch.shard == 0)
-            ++shard0_dispatches;
-    EXPECT_EQ(shard0_dispatches, 2u);
+            ++chunk0_dispatches;
+    EXPECT_EQ(chunk0_dispatches, 2u);
 }
 
 TEST(Coordinator, ThrowsOnceRetriesAreExhausted)
@@ -1088,20 +1022,23 @@ TEST(Coordinator, ThrowsOnceRetriesAreExhausted)
     options.retries = 1;
 
     try {
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
         FAIL() << "expected Error";
     } catch (const Error &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("no retries left"),
                   std::string::npos)
             << what;
+        // The per-attempt trail rides in the message.
+        EXPECT_NE(what.find("attempt #1"), std::string::npos)
+            << what;
     }
-    // retries=1 allows 2 attempts of shard 0.
-    std::size_t shard0_dispatches = 0;
+    // retries=1 allows 2 attempts of chunk 0.
+    std::size_t chunk0_dispatches = 0;
     for (const auto &dispatch : transport->history())
         if (dispatch.shard == 0)
-            ++shard0_dispatches;
-    EXPECT_EQ(shard0_dispatches, 2u);
+            ++chunk0_dispatches;
+    EXPECT_EQ(chunk0_dispatches, 2u);
 }
 
 TEST(Coordinator, RequestLevelFailuresAreDataNotRetries)
@@ -1130,16 +1067,19 @@ TEST(Coordinator, RequestLevelFailuresAreDataNotRetries)
     CoordinatorOptions options =
         testTransportOptions(batch_path, 3, transport);
     options.shardDir = (dir / "shards").string();
+    options.chunkTargetRequests = 1;
     const CoordinatedRunResult result =
-        runCoordinatedBatch(options);
+        runDynamicCoordinatedBatch(options);
 
-    EXPECT_EQ(result.shardsUsed, 3u);
+    EXPECT_EQ(result.chunksPlanned, 3u);
     EXPECT_EQ(result.succeeded, 2u);
     EXPECT_EQ(result.failed, 1u);
     EXPECT_EQ(result.redispatches, 0u);
+    EXPECT_EQ(transport->history().size(), 3u);
     EXPECT_FALSE(result.allOk());
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
+    const json::Value report =
+        json::parse(result.mergedReportText);
+    const auto &outcomes = report.at("outcomes").asArray();
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_FALSE(outcomes[1].at("ok").asBoolean());
 
@@ -1160,21 +1100,21 @@ TEST(Coordinator, CommandTransportExpandsItsTemplate)
     ShardDispatch dispatch;
     dispatch.shard = 3;
     dispatch.host = host.name;
-    dispatch.subBatchPath = "/shared/shard_003.json";
-    dispatch.reportPath = "/shared/shard_003.json.report";
+    dispatch.subBatchPath = "/shared/chunk_003.json";
+    dispatch.reportPath = "/shared/chunk_003.json.report";
     dispatch.engineThreads = 4;
     dispatch.workerExe = "/shared/eco_chip";
     EXPECT_EQ(transport.commandFor(dispatch),
               "ssh node-a /shared/eco_chip --shard_worker "
-              "/shared/shard_003.json --json "
-              "/shared/shard_003.json.report "
+              "/shared/chunk_003.json --json "
+              "/shared/chunk_003.json.report "
               "--engine_threads 4 ");
 
     dispatch.scenariosPath = "/shared/catalog.json";
     EXPECT_EQ(transport.commandFor(dispatch),
               "ssh node-a /shared/eco_chip --shard_worker "
-              "/shared/shard_003.json --json "
-              "/shared/shard_003.json.report "
+              "/shared/chunk_003.json --json "
+              "/shared/chunk_003.json.report "
               "--engine_threads 4 "
               "--scenarios /shared/catalog.json");
 
@@ -1186,10 +1126,10 @@ TEST(Coordinator, CommandTransportExpandsItsTemplate)
     // so they cannot split into words or grow syntax under
     // `/bin/sh -c`.
     dispatch.workerExe = "/shared/eco_chip";
-    dispatch.subBatchPath = "/tmp/my runs/shard_003.json";
+    dispatch.subBatchPath = "/tmp/my runs/chunk_003.json";
     dispatch.scenariosPath = "/tmp/it's/catalog.json";
     const std::string quoted = transport.commandFor(dispatch);
-    EXPECT_NE(quoted.find("'/tmp/my runs/shard_003.json'"),
+    EXPECT_NE(quoted.find("'/tmp/my runs/chunk_003.json'"),
               std::string::npos)
         << quoted;
     EXPECT_NE(
@@ -1280,9 +1220,9 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
     const std::string expected =
         batchReportToJson(report).dump(true);
 
-    std::vector<json::Value> outcomes;
+    std::vector<std::string> outcomes;
     for (const auto &outcome : report.outcomes)
-        outcomes.push_back(outcomeToJson(outcome));
+        outcomes.push_back(outcomeToJson(outcome).dump(false));
 
     std::vector<std::size_t> order(outcomes.size());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -1298,7 +1238,7 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
                 << "duplicate delivery must be dropped";
         }
         EXPECT_TRUE(merger.complete());
-        EXPECT_EQ(merger.report().dump(true), expected)
+        EXPECT_EQ(merger.reportText(true), expected)
             << "round " << round;
     }
 
@@ -1312,7 +1252,7 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
     EXPECT_EQ(missing.size(), outcomes.size() - 2);
     EXPECT_EQ(std::count(missing.begin(), missing.end(), 2u),
               0);
-    EXPECT_THROW(partial.report(), ModelError);
+    EXPECT_THROW(partial.reportText(true), ModelError);
 }
 
 // ------------------------------------------------ dynamic coordinator
@@ -1425,9 +1365,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
                 EXPECT_EQ(result.resumedOutcomes,
                           resume ? 5u : 0u)
                     << cell;
-                EXPECT_EQ(result.mergedReport.dump(true),
-                          single)
-                    << cell;
+                EXPECT_EQ(prettyReport(result), single) << cell;
                 // The journal now holds every outcome, so a
                 // second resume dispatches nothing at all.
                 CoordinatorOptions replay = options;
@@ -1448,8 +1386,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
                           batch.requests.size())
                     << cell;
                 EXPECT_EQ(replayed.chunksPlanned, 0u) << cell;
-                EXPECT_EQ(replayed.mergedReport.dump(true),
-                          single)
+                EXPECT_EQ(prettyReport(replayed), single)
                     << cell;
             }
         }
@@ -1519,9 +1456,8 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
 {
     // A reused --shard_dir with a stale (even corrupt) journal
     // must not poison a fresh run -- the same hygiene as stale
-    // shard reports. Regression: the static scheduler must scrub
-    // it too, so a later --resume cannot replay outcomes of a
-    // long-gone batch.
+    // chunk reports -- so a later --resume cannot replay
+    // outcomes of a long-gone batch.
     const auto dir =
         std::filesystem::path(::testing::TempDir()) /
         "ecochip_stale_journal";
@@ -1530,13 +1466,7 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
     const auto journal_path = dir / coordinatorJournalName();
 
     const BatchFile batch = loadBatchFile(shippedBatchPath());
-    std::string single;
-    {
-        AnalysisEngine engine(4);
-        single =
-            batchReportToJson(engine.runBatch(batch.requests))
-                .dump(true);
-    }
+    const std::string single = singleProcessReport(batch.requests);
 
     {
         std::ofstream stale(journal_path.string());
@@ -1549,22 +1479,73 @@ TEST(DynamicCoordinator, StaleJournalIsUnlinkedOnFreshRun)
     options.shardDir = dir.string();
     const CoordinatedRunResult result =
         runDynamicCoordinatedBatch(options);
-    EXPECT_EQ(result.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(result), single);
     // The journal was rewritten from scratch: it now replays
     // cleanly and covers the whole batch.
-    EXPECT_EQ(replayEventJournal(journal_path.string()).size(),
-              batch.requests.size());
+    EXPECT_EQ(
+        replayEventJournalText(journal_path.string()).size(),
+        batch.requests.size());
 
-    // The static scheduler scrubs it the same way.
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A transport whose worker writes one fixed line to its events
+ * file and exits 0 without a report -- a worker with a broken
+ * event writer.
+ */
+class BadEventTransport : public ShardTransport
+{
+  public:
+    explicit BadEventTransport(std::string line)
+        : line_(std::move(line))
     {
-        std::ofstream stale(journal_path.string());
-        stale << "this is not even json\n";
     }
-    const CoordinatedRunResult static_result =
-        runCoordinatedBatch(options);
-    EXPECT_EQ(static_result.mergedReport.dump(true), single);
-    EXPECT_FALSE(std::filesystem::exists(journal_path));
 
+    void start(const ShardDispatch &dispatch) override
+    {
+        std::ofstream(dispatch.eventsPath) << line_ << '\n';
+    }
+    std::optional<int> poll(std::size_t) override { return 0; }
+    void cancel(std::size_t) override {}
+    std::string name() const override { return "bad-events"; }
+
+  private:
+    std::string line_;
+};
+
+TEST(DynamicCoordinator, MalformedWorkerEventLineNamesItsFile)
+{
+    // The coordinator scans each event line once; whether the
+    // line is broken JSON or well-formed JSON that is not an
+    // event, the run fails with an error naming the events file.
+    const auto dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_bad_events";
+    for (const std::string line :
+         {R"({"index":0,"ok":tru)", R"([1,2])",
+          R"({"index":0,"ok":true} trailing)"}) {
+        std::filesystem::remove_all(dir);
+        CoordinatorOptions options;
+        options.batchPath = shippedBatchPath();
+        options.hosts = localHosts(1);
+        options.shardDir = dir.string();
+        options.transportFactory = [&line](const HostSpec &) {
+            return std::make_shared<BadEventTransport>(line);
+        };
+        try {
+            runDynamicCoordinatedBatch(options);
+            FAIL() << "expected ConfigError for " << line;
+        } catch (const ConfigError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("chunk_000.json.report.events"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("malformed worker event line"),
+                      std::string::npos)
+                << what;
+        }
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -1663,8 +1644,9 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     EXPECT_EQ(result.chunksPlanned, 4u);
     EXPECT_LT(transport->history().size(), 4u)
         << "abort must leave chunks undispatched";
-    const auto &outcomes =
-        result.mergedReport.at("outcomes").asArray();
+    const json::Value report =
+        json::parse(result.mergedReportText);
+    const auto &outcomes = report.at("outcomes").asArray();
     ASSERT_EQ(outcomes.size(), 4u);
     EXPECT_FALSE(outcomes[0].at("ok").asBoolean());
     std::size_t aborted_outcomes = 0;
@@ -1676,7 +1658,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
 
     // Synthetic outcomes were not journaled: only genuinely
     // finished requests replay.
-    const auto journaled = replayEventJournal(
+    const auto journaled = replayEventJournalText(
         (std::filesystem::path(options.shardDir) /
          coordinatorJournalName())
             .string());
@@ -1690,7 +1672,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     const CoordinatedRunResult finished =
         runDynamicCoordinatedBatch(finish);
     EXPECT_FALSE(finished.aborted);
-    EXPECT_EQ(finished.mergedReport.dump(true), single);
+    EXPECT_EQ(prettyReport(finished), single);
 
     std::filesystem::remove_all(dir);
 }

@@ -411,18 +411,10 @@ TEST(WireIdentity, JournalRoundTripPreservesCanonicalBytes)
 
     EventJournalWriter journal;
     journal.open(path, false);
-    // Interleave the text hot path with the DOM convenience
-    // overload; the journal bytes must not care which was used.
     for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
-        if (i % 2 == 0) {
-            json::StreamWriter writer;
-            appendOutcome(writer, report.outcomes[i]);
-            const std::string text = writer.take();
-            journal.append(i, std::string_view(text));
-        } else {
-            journal.append(i,
-                           outcomeToJson(report.outcomes[i]));
-        }
+        json::StreamWriter writer;
+        appendOutcome(writer, report.outcomes[i]);
+        journal.append(i, writer.take());
     }
 
     const auto entries = replayEventJournalText(path);
