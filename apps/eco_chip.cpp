@@ -689,7 +689,8 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
         << " distinct evaluation context(s)\n";
 
     if (opts.jsonPath) {
-        writeBatchReportFile(report, *opts.jsonPath);
+        writeBatchReportFile(report, *opts.jsonPath,
+                             engine.pool());
         (opts.stream ? std::cerr : std::cout)
             << "results written to " << *opts.jsonPath << "\n";
     }
@@ -758,6 +759,7 @@ runSearch(const CliOptions &opts, ScenarioRegistry registry)
     engine_options.threads = opts.engineThreads.value_or(
         Parallelism::hardware().threads);
     engine_options.registry = std::move(registry);
+    const int engine_threads = engine_options.threads;
     SearchDriver driver(std::move(engine_options));
     const SearchResult result = driver.run(spec);
 
@@ -807,8 +809,11 @@ runSearch(const CliOptions &opts, ScenarioRegistry registry)
                   << *opts.jsonPath << "\n";
     }
     if (!opts.searchReportPath.empty()) {
+        // The search's engine is gone: write on a pool of the
+        // same width.
+        ThreadPool pool(engine_threads);
         writeBatchReportFile(result.report,
-                             opts.searchReportPath);
+                             opts.searchReportPath, pool);
         std::cout << "batch report written to "
                   << opts.searchReportPath << "\n";
     }

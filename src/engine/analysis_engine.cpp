@@ -156,6 +156,7 @@ AnalysisEngine::runStream(
         std::mutex mutex;
         std::condition_variable drained;
         std::size_t remaining;
+        std::exception_ptr callbackError; // the first one
     };
     auto state = std::make_shared<StreamState>();
     state->remaining = requests.size();
@@ -178,7 +179,13 @@ AnalysisEngine::runStream(
             // and the decrement happens only after the callback
             // returned, so runStream cannot unblock mid-delivery.
             std::lock_guard<std::mutex> lock(state->mutex);
-            on_complete(i, outcome);
+            try {
+                on_complete(i, outcome);
+            } catch (...) {
+                // Pool tasks must not throw: runStream rethrows.
+                if (!state->callbackError)
+                    state->callbackError = std::current_exception();
+            }
             if (--state->remaining == 0)
                 state->drained.notify_all();
         });
@@ -187,6 +194,12 @@ AnalysisEngine::runStream(
     std::unique_lock<std::mutex> lock(state->mutex);
     state->drained.wait(
         lock, [&state] { return state->remaining == 0; });
+    // Taken out of the state: a task's copy of `state` may be the
+    // last, and the exception must not die on that thread while
+    // the caller reads it.
+    if (state->callbackError)
+        std::rethrow_exception(
+            std::exchange(state->callbackError, nullptr));
 }
 
 BatchReport

@@ -127,8 +127,10 @@ struct BatchReport
  * request's index in the submitted batch plus its outcome.
  * Invocations are serialized (never concurrent), so callbacks may
  * write to shared state -- a stream, a vector slot -- without
- * locking. A callback must not throw and must not re-enter the
- * engine it was called from.
+ * locking. A callback must not re-enter the engine it was called
+ * from. A callback that throws (a result that cannot be written,
+ * say) does not stop the batch: every other request is still
+ * delivered, and `runStream` then rethrows the first exception.
  */
 using StreamCallback =
     std::function<void(std::size_t index,
@@ -149,6 +151,13 @@ class AnalysisEngine
 
     /** Worker count. */
     int threads() const { return pool_.threadCount(); }
+
+    /**
+     * The worker pool, for parallel work around a batch such as
+     * `writeBatchReportFile`. Tasks posted here queue behind
+     * scheduled requests and must not throw.
+     */
+    ThreadPool &pool() { return pool_; }
 
     /** The catalog registry bindings resolve against. */
     const ScenarioRegistry &registry() const
@@ -175,6 +184,9 @@ class AnalysisEngine
      * once, failures included: a failed request streams an
      * outcome carrying its error, exactly as `runBatch` records
      * it. Blocks until the whole batch has been delivered.
+     *
+     * @throws the first exception @p on_complete threw, once the
+     *         whole batch has been delivered.
      */
     void runStream(const std::vector<AnalysisRequest> &requests,
                    const StreamCallback &on_complete);

@@ -58,7 +58,7 @@ runShardWorker(const std::string &sub_batch_path,
                 report.outcomes[index] = outcome;
             });
     }
-    writeBatchReportFile(report, report_path);
+    writeBatchReportFile(report, report_path, engine.pool());
     return report.allOk() ? 0 : 1;
 }
 

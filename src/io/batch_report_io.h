@@ -72,9 +72,30 @@ std::string batchReportText(const BatchReport &report,
  */
 json::Value batchReportToJson(const BatchReport &report);
 
-/** Write `batchReportToJson` pretty-printed to @p path. */
+/** Outcomes per block of the block-parallel report write. */
+inline constexpr std::size_t kReportBlockOutcomes = 64;
+
+/**
+ * Write `batchReportText(report, true)` plus a newline to
+ * @p path -- the same bytes, written block by block.
+ *
+ * Blocks of `kReportBlockOutcomes` consecutive outcomes are
+ * serialized in parallel on @p pool's workers and on the calling
+ * thread, and streamed to the file in request order as they
+ * finish. At most 2 x (workers + 1) blocks are held at once, so
+ * memory stays bounded whatever the report's size; the whole
+ * report never exists as one string. @p pool is typically the
+ * idle pool of the engine that produced the report
+ * (`AnalysisEngine::pool()`); the caller's thread keeps the write
+ * moving even when the pool is busy with other work.
+ *
+ * @throws ConfigError when @p path cannot be opened, and whatever
+ *         serializing an outcome throws (ModelError for a
+ *         non-finite number); the partial file is then removed.
+ */
 void writeBatchReportFile(const BatchReport &report,
-                          const std::string &path);
+                          const std::string &path,
+                          ThreadPool &pool);
 
 /**
  * One NDJSON stream event: the outcome document of

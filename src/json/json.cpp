@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -258,28 +257,59 @@ escapeStringTo(std::string &out, std::string_view s)
     out += '"';
 }
 
-std::string
-formatNumber(double n)
+double
+numberFromToken(std::string_view token, bool *out_of_range)
 {
-    if (n == std::floor(n) && std::abs(n) < 1e15) {
-        // Integral: print without fraction. Covers -0.0 too,
-        // which %.0f spells "-0" and strtod reads back as -0.0.
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", n);
-        return buf;
+    double value = 0.0;
+    const auto conv = std::from_chars(
+        token.data(), token.data() + token.size(), value);
+    if (out_of_range)
+        *out_of_range = false;
+    if (conv.ec != std::errc::result_out_of_range)
+        return value;
+    // from_chars leaves the value unset on overflow *and* on
+    // underflow. strtod's answer tells them apart: underflow reads
+    // as the nearest denormal or signed zero, which JSON accepts;
+    // overflow is an error. The copy only runs on this rare path.
+    const std::string buf(token);
+    value = std::strtod(buf.c_str(), nullptr);
+    if (out_of_range)
+        *out_of_range = value == HUGE_VAL || value == -HUGE_VAL;
+    return value;
+}
+
+void
+formatNumberTo(std::string &out, double n)
+{
+    if (!std::isfinite(n)) {
+        // JSON has no spelling for NaN or infinity; a document
+        // carrying "nan" could not be read back by any parser.
+        throw ModelError(
+            std::string("JSON cannot represent the non-finite "
+                        "number ") +
+            (std::isnan(n) ? "nan" : n > 0 ? "inf" : "-inf"));
     }
-    // Shortest round-trip: the spelling is the first precision in
-    // {15, 16, 17} whose %g output reads back exactly. Probing
-    // all three costs a snprintf+strtod per step, so let
-    // std::to_chars (shortest-round-trip by construction) reveal
-    // how many significant digits the value needs and emit once.
-    char shortest[40];
-    const auto conv = std::to_chars(
-        shortest, shortest + sizeof(shortest), n);
+    char buf[40];
+    char *const last = buf + sizeof(buf);
+    if (n == std::floor(n) && std::abs(n) < 1e15) {
+        // Integral: print without fraction, as %.0f does. Covers
+        // -0.0 too, spelled "-0", which reads back as -0.0.
+        const auto conv = std::to_chars(
+            buf, last, n, std::chars_format::fixed, 0);
+        out.append(buf, conv.ptr);
+        return;
+    }
+    // The spelling is %.Pg, where P is the digit count of the
+    // shortest round-trip form clamped to [15, 17]. The count
+    // includes an exponent's digits, so a value whose shortest
+    // form has an exponent often gets more digits than it needs
+    // (6.675221575521604e-308 is spelled 6.6752215755216041e-308):
+    // that is the canonical spelling, locked by tests.
+    const auto shortest = std::to_chars(buf, last, n);
     int digits = 0;
     bool seen_nonzero = false;
     bool positional = true; // no '.'/exponent: integer spelling
-    for (const char *p = shortest; p != conv.ptr; ++p) {
+    for (const char *p = buf; p != shortest.ptr; ++p) {
         if (*p == 'e' || *p == '.') {
             positional = false;
             continue;
@@ -292,37 +322,34 @@ formatNumber(double n)
         ++digits;
     }
     if (positional) // trailing zeros of an integer are positional
-        for (const char *p = conv.ptr - 1;
-             p != shortest && *p == '0'; --p)
+        for (const char *p = shortest.ptr - 1;
+             p != buf && *p == '0'; --p)
             --digits;
-    const int precision = std::clamp(digits, 15, 17);
-
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, n);
-    if (std::strtod(buf, nullptr) == n)
-        return buf;
-    // Unreachable in principle; keep the probing loop as the
-    // safety net so a platform quirk degrades to slow, not wrong.
-    for (int p = 15; p <= 17; ++p) {
-        std::snprintf(buf, sizeof(buf), "%.*g", p, n);
-        if (std::strtod(buf, nullptr) == n)
-            break;
-    }
-    return buf;
+    // A spelling must read back to the identical bits. When %.Pg
+    // does not (2^149 at P = 16), the first of %.15g, %.16g, %.17g
+    // that does is taken (%.17g always does).
+    std::to_chars_result conv{};
+    const auto reads_back = [&](int precision) {
+        conv = std::to_chars(buf, last, n,
+                             std::chars_format::general, precision);
+        return precision == 17 ||
+               numberFromToken(std::string_view(
+                   buf, static_cast<std::size_t>(conv.ptr - buf))) ==
+                   n;
+    };
+    if (!reads_back(std::clamp(digits, 15, 17)))
+        for (int precision = 15; !reads_back(precision);
+             ++precision) {
+        }
+    out.append(buf, conv.ptr);
 }
 
-double
-numberFromToken(std::string_view token, bool *out_of_range)
+std::string
+formatNumber(double n)
 {
-    // strtod needs NUL termination; tokens are short except in
-    // adversarial input, where the copy is the least of it.
-    const std::string buf(token);
-    errno = 0;
-    const double value = std::strtod(buf.c_str(), nullptr);
-    if (out_of_range)
-        *out_of_range = errno == ERANGE &&
-                        (value == HUGE_VAL || value == -HUGE_VAL);
-    return value;
+    std::string out;
+    formatNumberTo(out, n);
+    return out;
 }
 
 void
@@ -343,7 +370,7 @@ Value::dumpTo(std::string &out, bool pretty, int depth) const
         out += boolean_ ? "true" : "false";
         break;
       case Type::Number:
-        out += formatNumber(number_);
+        formatNumberTo(out, number_);
         break;
       case Type::String:
         escapeStringTo(out, string_);

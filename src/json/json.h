@@ -184,14 +184,24 @@ class Value
 };
 
 /**
- * Format a double exactly as the serializer prints JSON numbers:
- * no fraction for integral values below 1e15, otherwise the
- * shortest `%g` spelling (15, 16, or 17 significant digits) that
- * parses back to the identical bits. The canonical number
- * spelling shared by derived scenario names
- * (`search/scenario_space.h`), serialized documents, and the
- * streaming writer (`json/stream_writer.h`).
+ * Append the JSON spelling of @p n to @p out -- the one number
+ * spelling shared by `Value::dump`, the streaming writer
+ * (`json/stream_writer.h`) and derived scenario names
+ * (`search/scenario_space.h`). Integral values below 1e15 print
+ * with no fraction (`%.0f`, so -0.0 is "-0"). Any other value
+ * prints as `%.Pg`: P is the number of digits in the shortest
+ * round-trip form -- leading zeros aside, exponent digits
+ * included -- clamped to [15, 17]. When that spelling does not
+ * read back to the identical bits, the first of `%.15g`, `%.16g`,
+ * `%.17g` that does is used. Written with `std::to_chars`
+ * straight into @p out, with no allocation.
+ *
+ * @throws ModelError naming the value when @p n is NaN or
+ *         infinite: JSON has no spelling for them.
  */
+void formatNumberTo(std::string &out, double n);
+
+/** `formatNumberTo` into a fresh string. */
 std::string formatNumber(double n);
 
 /**
@@ -206,10 +216,11 @@ void escapeStringTo(std::string &out, std::string_view s);
  * Decode a lexically valid JSON number token to a double.
  *
  * Shared by the DOM parser and the on-demand scanner so both
- * agree bit-for-bit on every input. Underflow quietly returns the
- * nearest representable value (a denormal or zero); overflow sets
- * @p out_of_range (when non-null) and the caller reports it with
- * its own position context.
+ * agree bit-for-bit on every input. Decodes with
+ * `std::from_chars`, correctly rounded. Underflow quietly returns
+ * the nearest representable value (a denormal or signed zero, as
+ * `strtod` does); overflow sets @p out_of_range (when non-null)
+ * and the caller reports it with its own position context.
  */
 double numberFromToken(std::string_view token,
                        bool *out_of_range = nullptr);

@@ -24,7 +24,7 @@ StreamWriter::materialize(Frame &frame)
 void
 StreamWriter::indent()
 {
-    out_.append(4 * frames_.size(), ' ');
+    out_.append(4 * (base_depth_ + frames_.size()), ' ');
 }
 
 void
@@ -125,7 +125,7 @@ void
 StreamWriter::number(double n)
 {
     elementPrefix();
-    out_ += formatNumber(n);
+    formatNumberTo(out_, n);
 }
 
 void

@@ -7,7 +7,7 @@
  * tree -- the output side of the fast wire path (the input side
  * is `json/ondemand.h`). Its output is byte-identical to
  * `Value::dump(pretty)` of the equivalent DOM: the same escaping
- * (`escapeStringTo`), the same number spelling (`formatNumber`),
+ * (`escapeStringTo`), the same number spelling (`formatNumberTo`),
  * the same 4-space pretty layout with `[]`/`{}` for empty
  * containers and `": "` after keys. The wire-path contract in
  * docs/file_formats.md rests on that identity; `appendValue` plus
@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "json/json.h"
@@ -36,8 +37,22 @@ class StreamWriter
     /**
      * @param pretty When true, emit the 4-space indented layout
      *        of `Value::dump(true)`; otherwise the compact form.
+     * @param base_depth Containers the root value sits inside:
+     *        pretty indentation is that of a value nested
+     *        @p base_depth levels deep, so the output can be
+     *        spliced into a larger document as one of its
+     *        elements. The caller writes the element's own
+     *        separator and indentation.
+     * @param prefix Text already written: the document is
+     *        appended to it, and take() returns both. Lets one
+     *        buffer collect many fragments with no copying.
      */
-    explicit StreamWriter(bool pretty = false) : pretty_(pretty) {}
+    explicit StreamWriter(bool pretty = false,
+                          std::size_t base_depth = 0,
+                          std::string prefix = {})
+        : out_(std::move(prefix)), base_depth_(base_depth),
+          pretty_(pretty)
+    {}
 
     /** @{ @name Container scopes */
     void beginObject() { openContainer('{'); }
@@ -106,6 +121,7 @@ class StreamWriter
 
     std::string out_;
     std::vector<Frame> frames_;
+    std::size_t base_depth_ = 0;
     bool pretty_ = false;
     bool has_root_ = false;
 };

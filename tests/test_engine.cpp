@@ -13,6 +13,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <random>
 #include <set>
@@ -569,6 +570,34 @@ TEST(Stream, DeliversEveryRequestExactlyOnceUnderFailures)
     EXPECT_EQ(events, requests.size());
     for (std::size_t i = 0; i < seen.size(); ++i)
         EXPECT_EQ(seen[i], 1) << i;
+}
+
+TEST(Stream, ThrowingCallbackIsRethrownAfterTheWholeBatch)
+{
+    // A callback that cannot write its event (a non-finite
+    // number, say) must not take the pool thread down: every
+    // request is still delivered, then runStream rethrows.
+    std::vector<AnalysisRequest> requests(
+        12, {ScenarioRef::scenario("ga102"), EstimateSpec{}});
+    AnalysisEngine engine(4);
+    std::vector<int> seen(requests.size(), 0);
+    try {
+        engine.runStream(requests, [&](std::size_t index,
+                                       const RequestOutcome &) {
+            ++seen[index];
+            if (index == 3 || index == 7)
+                throw ModelError("cannot write #" +
+                                 std::to_string(index));
+        });
+        ADD_FAILURE() << "runStream swallowed the exception";
+    } catch (const ModelError &e) {
+        EXPECT_NE(std::string(e.what()).find("cannot write #"),
+                  std::string::npos);
+    }
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], 1) << i;
+    // The engine is still good for the next batch.
+    EXPECT_TRUE(engine.runBatch(requests).allOk());
 }
 
 TEST(Stream, RunBatchIsBitIdenticalToAssemblingTheStream)
@@ -1736,6 +1765,160 @@ TEST(ThreadPoolTest, DrainsEveryPostedTaskBeforeJoining)
         // Destructor must wait for all 100, not drop the queue.
     }
     EXPECT_EQ(ran.load(), 100);
+}
+
+// ------------------------------------------------ report write
+
+/**
+ * A report of @p count outcomes cycled from a small real batch:
+ * estimates, a sweep, a short Monte Carlo, and a failure.
+ */
+BatchReport
+cycledReport(std::size_t count)
+{
+    static const BatchReport base = [] {
+        MonteCarloSpec monte_carlo;
+        monte_carlo.trials = 64;
+        monte_carlo.seed = 3;
+        const std::vector<AnalysisRequest> requests = {
+            {ScenarioRef::scenario("ga102"), EstimateSpec{}},
+            {ScenarioRef::scenario("no-such-scenario"),
+             EstimateSpec{}},
+            {ScenarioRef::scenario("emr"), EstimateSpec{}},
+            {ScenarioRef::scenario("a15"), monte_carlo},
+            {ScenarioRef::scenario("arvr"), EstimateSpec{}},
+        };
+        AnalysisEngine engine(2);
+        return engine.runBatch(requests);
+    }();
+    BatchReport report;
+    for (std::size_t i = 0; i < count; ++i)
+        report.outcomes.push_back(
+            base.outcomes[i % base.outcomes.size()]);
+    return report;
+}
+
+std::string
+readWhole(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/**
+ * Byte equality of two report texts. A mismatch reports the first
+ * differing offset with a little context: gtest's diff of two
+ * multi-megabyte strings would take far too much memory.
+ */
+void
+expectSameBytes(const std::string &got, const std::string &want,
+                const std::string &where)
+{
+    if (got == want)
+        return;
+    const auto diff = std::mismatch(got.begin(), got.end(),
+                                    want.begin(), want.end());
+    const std::size_t at =
+        static_cast<std::size_t>(diff.first - got.begin());
+    const std::size_t from = at < 40 ? 0 : at - 40;
+    ADD_FAILURE() << where << ": " << got.size() << " bytes vs "
+                  << want.size() << " expected, first difference at "
+                  << at << "\n  got:  ..." << got.substr(from, 80)
+                  << "\n  want: ..." << want.substr(from, 80);
+}
+
+TEST(ReportWriter, BlockParallelFileEqualsTheWholeReportText)
+{
+    const auto path =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_block_report.json";
+    const std::size_t block = kReportBlockOutcomes;
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2},
+          block - 1, block, block + 1, 3 * block + 7,
+          std::size_t{3000}}) {
+        const BatchReport report = cycledReport(count);
+        if (count > 1) {
+            ASSERT_GT(report.failed(), 0u);
+        }
+        const std::string want = batchReportText(report, true) + "\n";
+        for (const int threads : {1, 2, 4}) {
+            ThreadPool pool(threads);
+            writeBatchReportFile(report, path.string(), pool);
+            expectSameBytes(readWhole(path), want,
+                            std::to_string(count) + " outcomes, " +
+                                std::to_string(threads) +
+                                " thread(s)");
+        }
+    }
+    // The DOM view agrees with the streamed bytes.
+    const BatchReport report = cycledReport(block + 1);
+    expectSameBytes(batchReportToJson(report).dump(true),
+                    batchReportText(report, true), "DOM view");
+    std::filesystem::remove(path);
+}
+
+TEST(ReportWriter, NonFiniteNumberInAnyBlockReachesTheCaller)
+{
+    const auto path =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_nan_report.json";
+    const std::size_t count = 6 * kReportBlockOutcomes;
+    // Estimates at the first, a middle and the last block.
+    for (const std::size_t bad :
+         {std::size_t{0}, count / 2, count - 2}) {
+        BatchReport report = cycledReport(count);
+        ASSERT_TRUE(report.outcomes[bad].ok());
+        ASSERT_TRUE(report.outcomes[bad].result->report);
+        report.outcomes[bad].result->report->mfgCo2Kg =
+            std::nan("");
+        for (const int threads : {1, 2, 4}) {
+            ThreadPool pool(threads);
+            try {
+                writeBatchReportFile(report, path.string(), pool);
+                ADD_FAILURE() << "NaN at " << bad << " was written";
+            } catch (const ModelError &e) {
+                EXPECT_NE(std::string(e.what()).find("nan"),
+                          std::string::npos)
+                    << e.what();
+            }
+            // No half report is left behind, and the pool is
+            // still good for the next write.
+            EXPECT_FALSE(std::filesystem::exists(path));
+            const BatchReport fine = cycledReport(3);
+            writeBatchReportFile(fine, path.string(), pool);
+            expectSameBytes(readWhole(path),
+                            batchReportText(fine, true) + "\n",
+                            "write after a failed one");
+            std::filesystem::remove(path);
+        }
+    }
+}
+
+TEST(ReportWriter, CallerFinishesTheWriteWhileThePoolIsBusy)
+{
+    // Every pool worker is blocked until the write returns: the
+    // calling thread must serialize every block itself.
+    const auto path =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_busy_report.json";
+    const BatchReport report =
+        cycledReport(4 * kReportBlockOutcomes + 3);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future();
+    {
+        ThreadPool pool(2);
+        for (int w = 0; w < pool.threadCount(); ++w)
+            pool.post([released] { released.wait(); });
+        writeBatchReportFile(report, path.string(), pool);
+        release.set_value();
+    }
+    expectSameBytes(readWhole(path),
+                    batchReportText(report, true) + "\n",
+                    "busy pool");
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -5,9 +5,11 @@
  * scanner (`json/ondemand.h`).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -256,6 +258,29 @@ TEST(StreamWriter, TakeResetsForReuse)
     writer.string("v");
     writer.endObject();
     EXPECT_EQ(writer.take(), R"({"k":"v"})");
+}
+
+TEST(StreamWriter, BaseDepthSplicesAnElementIntoALargerDocument)
+{
+    const Value doc = parse(R"({"a":[{"x":[1,2]},{"y":{}}]})");
+    const std::string whole = doc.dump(true);
+    // Each element of "a" written at depth 2, after a prefix and
+    // the element's own separator, reproduces the whole dump.
+    std::string text = "{\n    \"a\": [";
+    const auto &elements = doc.at("a").asArray();
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+        text += i ? ",\n        " : "\n        ";
+        StreamWriter writer(true, 2, std::move(text));
+        appendValue(writer, elements[i]);
+        EXPECT_EQ(writer.depth(), 0u);
+        text = writer.take();
+    }
+    text += "\n    ]\n}";
+    EXPECT_EQ(text, whole);
+    // The compact form ignores the depth.
+    StreamWriter compact(false, 3, "prefix:");
+    appendValue(compact, elements[0]);
+    EXPECT_EQ(compact.take(), "prefix:" + elements[0].dump(false));
 }
 
 TEST(StreamWriter, RawSplicesVerbatim)
@@ -507,6 +532,15 @@ TEST(Ondemand, NeverReadsPastAnUnterminatedBuffer)
     ondemand::validate(doc);
 }
 
+/** Bit pattern of @p x: tells -0.0 from 0.0. */
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
 TEST(Ondemand, NumberRangeChecksMatchDom)
 {
     // Overflow: both parsers reject positionally.
@@ -516,6 +550,42 @@ TEST(Ondemand, NumberRangeChecksMatchDom)
     EXPECT_DOUBLE_EQ(parse("1e-999").asNumber(), 0.0);
     ondemand::Scanner s("1e-999");
     EXPECT_DOUBLE_EQ(s.number(), 0.0);
+
+    // std::from_chars reports underflow as out of range and leaves
+    // the value unset; strtod's nearest denormal or signed zero is
+    // the answer, bitwise, in both parsers.
+    const std::pair<const char *, double> underflows[] = {
+        {"1e-400", 0.0},
+        {"-1e-400", -0.0},
+        {"2e-324", 0.0},
+        {"1e-320", 1e-320}, // a denormal
+    };
+    for (const auto &[text, want] : underflows) {
+        EXPECT_EQ(bitsOf(parse(text).asNumber()), bitsOf(want))
+            << text;
+        ondemand::Scanner scanner(text);
+        EXPECT_EQ(bitsOf(scanner.number()), bitsOf(want)) << text;
+        ondemand::validate(std::string("[") + text + "]");
+    }
+    // Overflow is rejected with the same message and position.
+    for (const char *text : {"1e400", "-1e400", "[0, 1e400]"}) {
+        std::string dom_error;
+        try {
+            parse(text);
+        } catch (const ConfigError &e) {
+            dom_error = e.what();
+        }
+        EXPECT_NE(dom_error.find("number out of range"),
+                  std::string::npos)
+            << text << ": " << dom_error;
+        std::string scan_error;
+        try {
+            ondemand::validate(text);
+        } catch (const ConfigError &e) {
+            scan_error = e.what();
+        }
+        EXPECT_EQ(scan_error, dom_error) << text;
+    }
 }
 
 } // namespace

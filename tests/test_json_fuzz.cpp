@@ -20,12 +20,16 @@
  * keeps the default ctest run fast; CI's sanitizer job raises it).
  */
 
+#include <algorithm>
 #include <cfloat>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -395,10 +399,60 @@ bits(double x)
     return u;
 }
 
+/**
+ * Reference copy of the number spelling as snprintf and strtod
+ * produced it: %.0f for integral values below 1e15; otherwise
+ * %.Pg with P the digit count of the shortest round-trip form
+ * (exponent digits included) clamped to [15, 17], falling back to
+ * the first of %.15g, %.16g, %.17g that strtod reads back.
+ */
+std::string
+referenceSpelling(double n)
+{
+    char buf[40];
+    if (n == std::floor(n) && std::abs(n) < 1e15) {
+        std::snprintf(buf, sizeof(buf), "%.0f", n);
+        return buf;
+    }
+    char shortest[40];
+    const auto conv = std::to_chars(
+        shortest, shortest + sizeof(shortest), n);
+    int digits = 0;
+    bool seen_nonzero = false;
+    bool positional = true;
+    for (const char *p = shortest; p != conv.ptr; ++p) {
+        if (*p == 'e' || *p == '.') {
+            positional = false;
+            continue;
+        }
+        if (*p < '0' || *p > '9')
+            continue;
+        if (*p == '0' && !seen_nonzero)
+            continue;
+        seen_nonzero = true;
+        ++digits;
+    }
+    if (positional)
+        for (const char *p = conv.ptr - 1;
+             p != shortest && *p == '0'; --p)
+            --digits;
+    std::snprintf(buf, sizeof(buf), "%.*g",
+                  std::clamp(digits, 15, 17), n);
+    if (std::strtod(buf, nullptr) == n)
+        return buf;
+    for (int p = 15; p <= 17; ++p) {
+        std::snprintf(buf, sizeof(buf), "%.*g", p, n);
+        if (std::strtod(buf, nullptr) == n)
+            break;
+    }
+    return buf;
+}
+
 void
 expectNumberRoundTrips(double x, const std::string &where)
 {
     const std::string text = formatNumber(x);
+    EXPECT_EQ(text, referenceSpelling(x)) << where;
     // The writer and dump agree on the spelling.
     StreamWriter writer;
     writer.number(x);
@@ -443,6 +497,12 @@ TEST(JsonNumbers, CornerValuesRoundTripBitwise)
         4.9406564584124654e-324,
         123456789.123456789,
         0.42187500000000006,
+        6.675221575521604e-308, // exponent digits raise P to 17
+        0x1p+149, // %.16g does not read back; %.15g does
+        0x1p+956,
+        0.1 + 0.2,
+        1e21,
+        2.5e-7,
     };
     for (double x : corpus)
         expectNumberRoundTrips(
@@ -504,6 +564,94 @@ TEST(JsonNumbers, EveryDataTreeValueRoundTripsBitwise)
         expectNumberRoundTrips(numbers[i],
                                "data value #" +
                                    std::to_string(i));
+}
+
+// ---------------------------------------------------------------
+// Spelling parity: expectNumberRoundTrips holds every writer to
+// referenceSpelling; these pin it on a wider sample and by value.
+// ---------------------------------------------------------------
+
+/** All three writers spell @p x exactly as the reference does. */
+void
+expectReferenceSpelling(double x, const std::string &where)
+{
+    const std::string want = referenceSpelling(x);
+    ASSERT_EQ(formatNumber(x), want) << where;
+    StreamWriter writer;
+    writer.number(x);
+    ASSERT_EQ(writer.take(), want) << where;
+    ASSERT_EQ(Value(x).dump(false), want) << where;
+}
+
+TEST(JsonNumberSpelling, RandomBitPatternsMatchTheReference)
+{
+    Rng rng(0x5EED5);
+    int checked = 0;
+    for (int i = 0; i < std::max(100000, casesPerSeed(0)); ++i) {
+        const std::uint64_t u = rng.next();
+        double x;
+        std::memcpy(&x, &u, sizeof x);
+        if (!std::isfinite(x))
+            continue;
+        ++checked;
+        expectReferenceSpelling(x, "random double #" +
+                                       std::to_string(i));
+        if (::testing::Test::HasFatalFailure())
+            return; // one report, not thousands
+    }
+    EXPECT_GT(checked, 99000);
+}
+
+TEST(JsonNumberSpelling, GoldenSpellings)
+{
+    // Captured from the snprintf/strtod writer.
+    const std::pair<double, const char *> golden[] = {
+        {0.0, "0"},
+        {-0.0, "-0"},
+        {1e15 - 1.0, "999999999999999"},
+        {1e15, "1e+15"},
+        {-1e15, "-1e+15"},
+        {0.1, "0.1"},
+        {1.0 / 3.0, "0.3333333333333333"},
+        {5e-324, "4.94065645841247e-324"},
+        {6.675221575521604e-308, "6.6752215755216041e-308"},
+        {DBL_MAX, "1.7976931348623157e+308"},
+        {DBL_MIN, "2.2250738585072014e-308"},
+        {123456789.123456789, "123456789.12345679"},
+        {6.02214076e23, "6.02214076e+23"},
+        {9007199254740993.0, "9007199254740992"},
+        {2.5e-7, "2.5e-07"},
+        {0.1 + 0.2, "0.30000000000000004"},
+        // P = 16 does not read back, so the spelling falls back
+        // to the first precision from 15 that does.
+        {0x1p+149, "7.1362384635298e+44"},
+        {0x1p+956, "6.090821257125e+287"},
+        {0x1p+966, "6.237000967296e+290"},
+    };
+    for (const auto &[x, spelling] : golden) {
+        EXPECT_EQ(formatNumber(x), spelling);
+        EXPECT_EQ(referenceSpelling(x), spelling);
+    }
+}
+
+TEST(JsonNumberSpelling, NonFiniteNumbersAreNeverWritten)
+{
+    const double non_finite[] = {
+        std::nan(""), -std::nan(""), HUGE_VAL, -HUGE_VAL};
+    for (double x : non_finite) {
+        EXPECT_THROW(formatNumber(x), ModelError);
+        StreamWriter writer;
+        EXPECT_THROW(writer.number(x), ModelError);
+        EXPECT_THROW(Value(x).dump(true), ModelError);
+    }
+    try {
+        Value(HUGE_VAL).dump(false);
+        FAIL() << "inf was written";
+    } catch (const ModelError &e) {
+        EXPECT_NE(std::string(e.what()).find("inf"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -495,6 +495,49 @@ TEST(AnalysisServer, MalformedLinesAreIsolatedPerConnection)
     EXPECT_EQ(server.waitForExit(), 0);
 }
 
+TEST(AnalysisServer, UnwritableResultBecomesAFailedEvent)
+{
+    // A scenario whose operational carbon overflows to inf: the
+    // result cannot be written as JSON, and the per-request catch
+    // answers with a failed event instead.
+    ServerOptions options = serverOptions("nonfinite");
+    options.registry.loadJson(json::parse(R"({"scenarios": [{
+        "name": "overflowing",
+        "description": "operational power overflows to inf",
+        "architecture": {
+            "name": "overflowing", "packaging": "rdl_fanout",
+            "chiplets": [{"name": "npu", "type": "logic",
+                          "node_nm": 5, "area_mm2": 45.0}]},
+        "operational": {
+            "lifetime_years": 4, "duty_cycle": 0.3,
+            "avg_power_w": 1e308, "intensity_g_per_kwh": 400}
+    }]})"), "inline catalog");
+    ServerProcess server(std::move(options));
+    ASSERT_TRUE(server.started());
+    ASSERT_TRUE(ServerClient::waitForServer(
+        server.socketPath(), 15.0));
+
+    ServerClient client(server.socketPath());
+    const std::vector<AnalysisRequest> requests = {
+        {ScenarioRef::scenario("overflowing"), EstimateSpec{}},
+        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
+    };
+    const auto served = serveAll(client, requests);
+    const json::Value failed = json::parse(served[0]);
+    EXPECT_FALSE(failed.at("ok").asBoolean());
+    EXPECT_NE(failed.at("error").asString().find("non-finite"),
+              std::string::npos)
+        << served[0];
+    EXPECT_TRUE(json::parse(served[1]).at("ok").asBoolean());
+
+    const json::Value stats = client.stats();
+    EXPECT_EQ(stats.at("served").asInteger(), 2);
+    EXPECT_EQ(stats.at("failed").asInteger(), 1);
+
+    client.shutdownServer();
+    EXPECT_EQ(server.waitForExit(), 0);
+}
+
 TEST(AnalysisServer, SigtermDrainsInFlightRequests)
 {
     ServerOptions options = serverOptions("sigterm");
