@@ -881,8 +881,11 @@ runConnect(const CliOptions &opts)
                   "but catalogs are server-side state; start "
                   "the server with --scenarios instead");
 
-    for (const auto &request : batch.requests)
-        client.sendLine(requestToJson(request).dump(false));
+    json::StreamWriter writer;
+    for (const auto &request : batch.requests) {
+        appendRequest(writer, request);
+        client.sendLine(writer.take());
+    }
 
     // One event line per request, completion order; echo each as
     // it arrives and slot it by index for the report document.
@@ -997,22 +1000,6 @@ printMergedOutcomes(const std::string &report_text)
 }
 
 /**
- * Write the merged report pretty-printed to @p path -- the same
- * bytes `--batch --json` writes, transcoded straight from the
- * compact merge text (one scan, no DOM).
- */
-void
-writeMergedReportFile(const std::string &report_text,
-                      const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write JSON file: " + path);
-    out << json::ondemand::reserialize(report_text, true)
-        << '\n';
-}
-
-/**
  * Coordinate a batch across the hosts of a manifest: hosts pull
  * binding-cohesive work chunks from the shared queue, stream
  * outcome events back, and the coordinator merges incrementally,
@@ -1090,8 +1077,12 @@ runCoordinate(const CliOptions &opts, const char *argv0)
                   << result.journalPath << ")\n";
 
     if (opts.jsonPath) {
-        writeMergedReportFile(result.mergedReportText,
-                              *opts.jsonPath);
+        // The bytes `--batch --json` writes, transcoded straight
+        // from the compact merge text (one scan, no DOM).
+        json::writeTextFile(
+            json::ondemand::reserialize(result.mergedReportText,
+                                        true),
+            *opts.jsonPath);
         std::cout << "merged report written to "
                   << *opts.jsonPath << "\n";
     }
@@ -1186,10 +1177,12 @@ run(int argc, char **argv)
     }
 
     if (opts.jsonPath) {
-        json::Value doc = json::Value::makeArray();
+        json::StreamWriter writer(true);
+        writer.beginArray();
         for (const auto &result : results)
-            doc.append(resultToJson(result));
-        json::writeFile(doc, *opts.jsonPath);
+            appendResult(writer, result);
+        writer.endArray();
+        json::writeTextFile(writer.take(), *opts.jsonPath);
         std::cout << "\nresults written to " << *opts.jsonPath
                   << "\n";
     }

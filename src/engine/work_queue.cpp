@@ -130,21 +130,25 @@ writeChunkFiles(const BatchFile &batch, const ChunkPlan &plan,
 
     std::vector<std::string> paths;
     paths.reserve(plan.chunkCount());
+    json::StreamWriter writer(true);
     for (std::size_t c = 0; c < plan.chunkCount(); ++c) {
-        json::Value doc = json::Value::makeObject();
-        if (!catalog.empty())
-            doc.set("scenarios", catalog);
-        json::Value requests = json::Value::makeArray();
+        writer.beginObject();
+        if (!catalog.empty()) {
+            writer.key("scenarios");
+            writer.string(catalog);
+        }
+        writer.key("requests");
+        writer.beginArray();
         for (std::size_t index : plan.chunks[c])
-            requests.append(
-                requestToJson(batch.requests[index]));
-        doc.set("requests", std::move(requests));
+            appendRequest(writer, batch.requests[index]);
+        writer.endArray();
+        writer.endObject();
 
         char name[32];
         std::snprintf(name, sizeof(name), "chunk_%03zu.json", c);
         const std::string path =
             (std::filesystem::path(directory) / name).string();
-        json::writeFile(doc, path);
+        json::writeTextFile(writer.take(), path);
         paths.push_back(path);
     }
     return paths;

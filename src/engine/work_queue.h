@@ -106,7 +106,7 @@ writeChunkFiles(const BatchFile &batch, const ChunkPlan &plan,
 /**
  * Order-insensitive accumulation of a batch's outcomes.
  *
- * Outcome documents (the `outcomeToJson` shape) are added at
+ * Outcome documents (the `appendOutcome` shape) are added at
  * their original batch index as they stream in; the first add
  * per index wins and later duplicates -- a retried chunk
  * re-delivering outcomes its failed attempt already streamed --

@@ -16,13 +16,6 @@
 
 namespace ecochip {
 
-/*
- * appendOutcome / appendStreamEvent / batchReportText are the
- * primary serializers on the wire path; the *ToJson variants
- * parse their output so the DOM view cannot drift from the bytes
- * workers actually write.
- */
-
 namespace {
 
 /** The members shared by outcome documents and stream events. */
@@ -261,14 +254,6 @@ appendOutcome(json::StreamWriter &writer,
     writer.endObject();
 }
 
-json::Value
-outcomeToJson(const RequestOutcome &outcome)
-{
-    json::StreamWriter writer;
-    appendOutcome(writer, outcome);
-    return json::parse(writer.take());
-}
-
 void
 appendStreamEvent(json::StreamWriter &writer, std::size_t index,
                   const RequestOutcome &outcome)
@@ -289,12 +274,6 @@ batchReportText(const BatchReport &report, bool pretty)
                        report.outcomes.size(), pretty);
     appendReportTail(out, report, pretty);
     return out;
-}
-
-json::Value
-batchReportToJson(const BatchReport &report)
-{
-    return json::parse(batchReportText(report, false));
 }
 
 void
@@ -331,13 +310,6 @@ writeBatchReportFile(const BatchReport &report,
     appendReportTail(edge, report, true);
     edge += '\n';
     out << edge;
-}
-
-json::Value
-streamEventToJson(std::size_t index,
-                  const RequestOutcome &outcome)
-{
-    return json::parse(streamEventLine(index, outcome));
 }
 
 std::string

@@ -29,25 +29,18 @@
 #include <string>
 
 #include "engine/analysis_engine.h"
-#include "json/json.h"
 #include "json/stream_writer.h"
 
 namespace ecochip {
 
 /**
- * Emit one outcome through the streaming writer -- the primary
- * outcome serializer (shard workers and the server stream every
- * completion through it, no DOM). `outcomeToJson` wraps it.
- */
-void appendOutcome(json::StreamWriter &writer,
-                   const RequestOutcome &outcome);
-
-/**
- * Serialize one outcome:
+ * Emit one outcome through the streaming writer (shard workers
+ * and the server stream every completion through it, no DOM):
  * `{"request": ..., "ok": bool, "result": ...}` on success,
  * `{"request": ..., "ok": false, "error": "..."}` on failure.
  */
-json::Value outcomeToJson(const RequestOutcome &outcome);
+void appendOutcome(json::StreamWriter &writer,
+                   const RequestOutcome &outcome);
 
 /**
  * Emit one NDJSON stream event -- the outcome document with the
@@ -58,19 +51,12 @@ void appendStreamEvent(json::StreamWriter &writer,
                        const RequestOutcome &outcome);
 
 /**
- * The whole report as one document, compact or pretty -- exactly
- * the bytes of `batchReportToJson(report).dump(pretty)`, emitted
- * with no intermediate DOM.
+ * The whole report as one document, compact or pretty:
+ * `{"succeeded": N, "failed": M, "outcomes": [...]}` with the
+ * outcomes in request order, emitted with no intermediate DOM.
  */
 std::string batchReportText(const BatchReport &report,
                             bool pretty);
-
-/**
- * Serialize a whole report:
- * `{"succeeded": N, "failed": M, "outcomes": [...]}` with the
- * outcomes in request order.
- */
-json::Value batchReportToJson(const BatchReport &report);
 
 /** Outcomes per block of the block-parallel report write. */
 inline constexpr std::size_t kReportBlockOutcomes = 64;
@@ -98,15 +84,9 @@ void writeBatchReportFile(const BatchReport &report,
                           ThreadPool &pool);
 
 /**
- * One NDJSON stream event: the outcome document of
- * `outcomeToJson` with the request's batch `index` prepended.
- */
-json::Value streamEventToJson(std::size_t index,
-                              const RequestOutcome &outcome);
-
-/**
- * The event as one compact NDJSON line (no trailing newline --
- * the stream writer owns the line discipline).
+ * One NDJSON stream event (`appendStreamEvent`) as one compact
+ * line (no trailing newline -- the stream writer owns the line
+ * discipline).
  */
 std::string streamEventLine(std::size_t index,
                             const RequestOutcome &outcome);

@@ -491,14 +491,6 @@ appendReport(json::StreamWriter &writer,
     writer.endObject();
 }
 
-json::Value
-reportToJson(const CarbonReport &report)
-{
-    json::StreamWriter writer;
-    appendReport(writer, report);
-    return json::parse(writer.take());
-}
-
 std::vector<double>
 loadNodeList(const std::string &path)
 {

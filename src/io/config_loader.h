@@ -140,16 +140,9 @@ DesignBundle designBundleFromJson(
 DesignBundle loadDesignDirectory(const std::string &dir,
                                  const TechDb &tech);
 
-/**
- * Emit a CarbonReport through the streaming writer -- the primary
- * report serializer; `reportToJson` wraps it, so the DOM and
- * streaming paths cannot drift.
- */
+/** Emit a CarbonReport through the streaming writer. */
 void appendReport(json::StreamWriter &writer,
                   const CarbonReport &report);
-
-/** Serialize a CarbonReport (for tool output / regression files). */
-json::Value reportToJson(const CarbonReport &report);
 
 /**
  * Load a node-list file (the artifact's `node_list.txt`): one node

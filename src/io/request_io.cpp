@@ -110,14 +110,6 @@ costParamsFromJson(const json::Value &doc,
     return params;
 }
 
-json::Value
-uncertaintyBandsToJson(const UncertaintyBands &bands)
-{
-    json::StreamWriter writer;
-    appendUncertaintyBands(writer, bands);
-    return json::parse(writer.take());
-}
-
 UncertaintyBands
 uncertaintyBandsFromJson(const json::Value &doc,
                          const std::string &context)

@@ -5,8 +5,9 @@
  * The reference ECO-CHIP artifact is driven by JSON configuration
  * files (architecture.json, packageC.json, designC.json,
  * operationalC.json). This module provides the equivalent substrate
- * with no external dependencies: a recursive-descent parser with
- * line/column error reporting and a pretty-printing serializer.
+ * with no external dependencies: a DOM built by driving the
+ * on-demand scanner (`json/ondemand.h`, the one JSON grammar, with
+ * line/column error reporting) and a pretty-printing serializer.
  *
  * Objects preserve insertion order so that serialized configs diff
  * cleanly against their sources.
@@ -26,6 +27,10 @@
 namespace ecochip::json {
 
 class Value;
+
+namespace ondemand {
+class Scanner;
+}
 
 /** Ordered key/value storage backing JSON objects. */
 using Member = std::pair<std::string, Value>;
@@ -173,6 +178,11 @@ class Value
     bool operator==(const Value &other) const;
 
   private:
+    friend Value parse(const std::string &text);
+
+    /** Build the next value of @p in (the body of `parse`). */
+    static Value build(ondemand::Scanner &in);
+
     void dumpTo(std::string &out, bool pretty, int depth) const;
 
     Type type_;
@@ -215,8 +225,9 @@ void escapeStringTo(std::string &out, std::string_view s);
 /**
  * Decode a lexically valid JSON number token to a double.
  *
- * Shared by the DOM parser and the on-demand scanner so both
- * agree bit-for-bit on every input. Decodes with
+ * The scanner's number decoder (so every parse entry point agrees
+ * bit-for-bit), also used by `formatNumberTo` to check that a
+ * spelling reads back. Decodes with
  * `std::from_chars`, correctly rounded. Underflow quietly returns
  * the nearest representable value (a denormal or signed zero, as
  * `strtod` does); overflow sets @p out_of_range (when non-null)
@@ -226,7 +237,10 @@ double numberFromToken(std::string_view token,
                        bool *out_of_range = nullptr);
 
 /**
- * Parse a JSON document.
+ * Parse a JSON document: the DOM is built by driving an
+ * `ondemand::Scanner` over @p text, so it accepts and rejects
+ * exactly what the scanner does (nesting is bounded by
+ * `ondemand::kMaxNestingDepth`).
  *
  * @param text Complete JSON text.
  * @return The parsed root value.
@@ -248,6 +262,12 @@ Value parseFile(const std::string &path);
  * @param path Destination path (overwritten).
  */
 void writeFile(const Value &value, const std::string &path);
+
+/**
+ * Write an already serialized document plus a newline to a file:
+ * `writeFile(v, path)` is `writeTextFile(v.dump(true), path)`.
+ */
+void writeTextFile(std::string_view text, const std::string &path);
 
 } // namespace ecochip::json
 

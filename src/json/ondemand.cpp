@@ -7,15 +7,6 @@
 
 namespace ecochip::json::ondemand {
 
-/*
- * Grammar parity notice: every accept/reject decision below
- * mirrors the DOM Parser in json.cpp -- including its deliberate
- * tolerances (//-comments in whitespace, leading-zero numbers)
- * and its strictures (duplicate keys, raw control characters in
- * strings, out-of-range numbers). Changing either parser without
- * the other breaks the differential fuzz suite.
- */
-
 void
 Scanner::fail(const std::string &message) const
 {
@@ -55,6 +46,35 @@ Scanner::expect(char c)
     if (atEnd() || text_[pos_] != c)
         fail(std::string("expected '") + c + "'");
     ++pos_;
+}
+
+void
+Scanner::enter(char open, std::size_t depth)
+{
+    expect(open);
+    if (depth >= kMaxNestingDepth) {
+        --pos_; // point at the bracket that went too deep
+        fail("containers nested deeper than " +
+             std::to_string(kMaxNestingDepth) + " levels");
+    }
+}
+
+std::string_view
+Scanner::memberName(std::size_t keys_begin)
+{
+    if (peek() != '"')
+        fail("expected object key string");
+    // Duplicates compare decoded names; an escape-free name is
+    // compared as its raw span, with no copy.
+    std::string_view name;
+    if (!fastScanString(name))
+        name = escapedKeys_.emplace_front(decodeString());
+    for (std::size_t i = keys_begin; i < keys_.size(); ++i)
+        if (keys_[i] == name)
+            fail("duplicate object key: \"" + std::string(name) +
+                 "\"");
+    keys_.push_back(name);
+    return name;
 }
 
 void
@@ -115,7 +135,8 @@ Scanner::decodeString()
                     else
                         fail("invalid \\u escape");
                 }
-                // BMP-only UTF-8, same as the DOM parser.
+                // UTF-8, BMP only: a surrogate pair decodes as
+                // two separate code points, adequate for configs.
                 if (code < 0x80) {
                     out += static_cast<char>(code);
                 } else if (code < 0x800) {
@@ -305,69 +326,44 @@ Scanner::skipNumber()
 }
 
 void
-Scanner::skipValue()
+Scanner::skipValue(std::size_t depth)
 {
     skipWhitespace();
     const char c = peek();
     switch (c) {
       case '{': {
-        ++pos_;
+        enter('{', depth);
         skipWhitespace();
         if (peek() == '}') {
             ++pos_;
             return;
         }
-        // Duplicate detection on decoded names, allocating only
-        // for the rare key that actually contains escapes: an
-        // escape-free key's raw bytes ARE its decoded form, so
-        // raw-span comparison is exact for them.
-        struct SkipKey
-        {
-            std::string_view raw;
-            std::string owned;
-            bool escaped;
-            std::string_view content() const
-            {
-                return escaped ? std::string_view(owned) : raw;
-            }
-        };
-        std::vector<SkipKey> keys;
+        const std::size_t keys_begin = keys_.size();
         while (true) {
             skipWhitespace();
-            if (peek() != '"')
-                fail("expected object key string");
-            SkipKey entry;
-            if (fastScanString(entry.raw)) {
-                entry.escaped = false;
-            } else {
-                entry.owned = decodeString();
-                entry.escaped = true;
-            }
-            for (const auto &seen : keys)
-                if (seen.content() == entry.content())
-                    fail("duplicate object key: \"" +
-                         std::string(entry.content()) + "\"");
-            keys.push_back(std::move(entry));
+            memberName(keys_begin);
             skipWhitespace();
             expect(':');
-            skipValue();
+            skipValue(depth + 1);
             skipWhitespace();
             const char d = advance();
-            if (d == '}')
+            if (d == '}') {
+                keys_.resize(keys_begin);
                 return;
+            }
             if (d != ',')
                 fail("expected ',' or '}' in object");
         }
       }
       case '[': {
-        ++pos_;
+        enter('[', depth);
         skipWhitespace();
         if (peek() == ']') {
             ++pos_;
             return;
         }
         while (true) {
-            skipValue();
+            skipValue(depth + 1);
             skipWhitespace();
             const char d = advance();
             if (d == ']')
@@ -400,7 +396,7 @@ Scanner::rawValue()
 {
     skipWhitespace();
     const std::size_t start = pos_;
-    skipValue();
+    skipValue(frames_.size());
     return text_.substr(start, pos_ - start);
 }
 
@@ -475,8 +471,8 @@ void
 Scanner::beginObject()
 {
     skipWhitespace();
-    expect('{');
-    frames_.push_back(Frame{'{', true, {}});
+    enter('{', frames_.size());
+    frames_.push_back(Frame{'{', true, keys_.size()});
 }
 
 bool
@@ -485,31 +481,25 @@ Scanner::nextMember(std::string &key)
     requireModel(!frames_.empty() && frames_.back().kind == '{',
                  "Scanner: nextMember() outside an object");
     skipWhitespace();
-    if (frames_.back().first) {
-        frames_.back().first = false;
+    Frame &frame = frames_.back();
+    if (frame.first) {
+        frame.first = false;
         if (peek() == '}') {
             ++pos_;
-            frames_.pop_back();
+            leave();
             return false;
         }
     } else {
         const char c = advance();
         if (c == '}') {
-            frames_.pop_back();
+            leave();
             return false;
         }
         if (c != ',')
             fail("expected ',' or '}' in object");
         skipWhitespace();
     }
-    if (peek() != '"')
-        fail("expected object key string");
-    key = decodeString();
-    Frame &frame = frames_.back();
-    for (const auto &seen : frame.keys)
-        if (seen == key)
-            fail("duplicate object key: \"" + key + "\"");
-    frame.keys.push_back(key);
+    key.assign(memberName(frame.keys_begin));
     skipWhitespace();
     expect(':');
     return true;
@@ -519,8 +509,8 @@ void
 Scanner::beginArray()
 {
     skipWhitespace();
-    expect('[');
-    frames_.push_back(Frame{'[', true, {}});
+    enter('[', frames_.size());
+    frames_.push_back(Frame{'[', true, keys_.size()});
 }
 
 bool
@@ -529,23 +519,31 @@ Scanner::nextElement()
     requireModel(!frames_.empty() && frames_.back().kind == '[',
                  "Scanner: nextElement() outside an array");
     skipWhitespace();
-    if (frames_.back().first) {
-        frames_.back().first = false;
+    Frame &frame = frames_.back();
+    if (frame.first) {
+        frame.first = false;
         if (peek() == ']') {
             ++pos_;
-            frames_.pop_back();
+            leave();
             return false;
         }
         return true;
     }
     const char c = advance();
     if (c == ']') {
-        frames_.pop_back();
+        leave();
         return false;
     }
     if (c != ',')
         fail("expected ',' or ']' in array");
     return true;
+}
+
+void
+Scanner::leave()
+{
+    keys_.resize(frames_.back().keys_begin);
+    frames_.pop_back();
 }
 
 void
@@ -646,3 +644,43 @@ validate(std::string_view text)
 }
 
 } // namespace ecochip::json::ondemand
+
+namespace ecochip::json {
+
+// The DOM builder behind json::parse. It lives in this file so the
+// scanner calls it makes for every value can be inlined.
+Value
+Value::build(ondemand::Scanner &in)
+{
+    switch (in.peekType()) {
+      case Type::Null:
+        in.null();
+        return Value();
+      case Type::Boolean:
+        return Value(in.boolean());
+      case Type::Number:
+        return Value(in.number());
+      case Type::String:
+        return Value(in.string());
+      case Type::Array: {
+        Value arr = makeArray();
+        in.beginArray();
+        while (in.nextElement())
+            arr.array_.push_back(build(in));
+        return arr;
+      }
+      case Type::Object: {
+        Value obj = makeObject();
+        in.beginObject();
+        // The scanner rejected duplicate names already, so members
+        // are appended, not set().
+        std::string key;
+        while (in.nextMember(key))
+            obj.object_.emplace_back(std::move(key), build(in));
+        return obj;
+      }
+    }
+    return Value();
+}
+
+} // namespace ecochip::json

@@ -7,21 +7,23 @@
  * on-demand design: seek to a key, iterate an array, yield raw
  * value spans -- without materializing a `json::Value` tree.
  *
- * The scanner accepts and rejects *exactly* the documents the DOM
- * parser (`json::parse`) does: the same grammar including the
- * `//`-comment and leading-zero tolerances, the same duplicate-key
- * rejection, the same BMP-only `\u` decoding, and the same number
- * decoding through `json::numberFromToken`. Errors are
- * `ConfigError`s carrying the identical
+ * The scanner is the one JSON grammar of the codebase: the DOM
+ * parser (`json::parse`) builds its tree by driving a Scanner, so
+ * every entry point accepts and rejects exactly the same
+ * documents. The grammar tolerates `//`-comments in whitespace and
+ * leading-zero numbers; it rejects duplicate object keys (at the
+ * repeated key), raw control characters in strings, out-of-range
+ * numbers, and containers nested deeper than `kMaxNestingDepth`.
+ * `\u` escapes decode BMP-only, numbers through
+ * `json::numberFromToken`. Errors are `ConfigError`s carrying
  * "JSON parse error at line L, column C: ..." position context.
- * The differential fuzz suite (tests/test_json_fuzz.cpp) holds the
- * two parsers to byte-for-byte agreement.
  */
 
 #ifndef ECOCHIP_JSON_ONDEMAND_H
 #define ECOCHIP_JSON_ONDEMAND_H
 
 #include <cstddef>
+#include <forward_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,6 +33,15 @@
 #include "json/stream_writer.h"
 
 namespace ecochip::json::ondemand {
+
+/**
+ * Deepest container nesting any document may have: the root
+ * container is level 1, and opening a container at level
+ * `kMaxNestingDepth + 1` fails. Every recursive consumer of a
+ * scanned document (the DOM builder, `reserializeValue`,
+ * `Value::dump`, `~Value`) recurses at most this deep.
+ */
+inline constexpr std::size_t kMaxNestingDepth = 512;
 
 /**
  * Single-pass cursor over one JSON document.
@@ -98,15 +109,18 @@ class Scanner
     {
         char kind;  // '{' or '['
         bool first; // no element consumed yet
-        std::vector<std::string> keys; // duplicate detection
+        std::size_t keys_begin; // this object's names in keys_
     };
 
     bool atEnd() const { return pos_ >= text_.size(); }
     char peek() const;
     char advance();
     void expect(char c);
+    void enter(char open, std::size_t depth);
+    void leave();
+    std::string_view memberName(std::size_t keys_begin);
     void skipWhitespace();
-    void skipValue();
+    void skipValue(std::size_t depth);
     void skipString();
     void skipNumber();
     bool fastScanString(std::string_view &content);
@@ -116,6 +130,13 @@ class Scanner
     std::string_view text_;
     std::size_t pos_ = 0;
     std::vector<Frame> frames_;
+    /** Decoded names of every open object, innermost last; a
+     *  closed object's slots are reused by the next one. An
+     *  escape-free name is its own raw span. */
+    std::vector<std::string_view> keys_;
+    /** Decoded copies of the names that contain escapes (rare),
+     *  kept until the scanner dies; list nodes never move. */
+    std::forward_list<std::string> escapedKeys_;
 };
 
 /**

@@ -112,7 +112,7 @@ setNonBlocking(int fd)
  * pre-serialized compact parts through the streaming writer so a
  * cache hit (stored result text) and a fresh evaluation
  * (appendResult) travel through one code path with no DOM --
- * member order matches `streamEventToJson` exactly. On success
+ * member order matches `appendStreamEvent` exactly. On success
  * @p payload is raw result JSON; on failure it is the error
  * message (emitted as a JSON string).
  */

@@ -40,7 +40,6 @@
 #include <string>
 #include <string_view>
 
-#include "json/json.h"
 #include "session/analysis_request.h"
 
 namespace ecochip {
@@ -94,35 +93,22 @@ class ResultCache
     explicit ResultCache(ResultCacheOptions options);
 
     /**
-     * The stored result document for @p key, or nullopt.
-     * Counts one hit or one miss; a present-but-unreadable entry
+     * The stored result document for @p key as compact JSON, or
+     * nullopt. The stored object is validated and canonicalized
+     * by the on-demand scanner (never parsed into a DOM). Counts
+     * one hit or one miss; a present-but-unreadable entry
      * (truncated file, corrupt JSON) is evicted and counts as a
      * miss, so callers always recompute instead of failing.
-     */
-    std::optional<json::Value> lookup(const std::string &key);
-
-    /**
-     * Text twin of `lookup` -- the warm path. The stored object
-     * is validated and canonicalized by the on-demand scanner
-     * (never parsed into a DOM) and returned as compact JSON,
-     * byte-identical to `lookup(key)->dump(false)`. Same
-     * hit/miss/evict-on-corruption accounting.
      */
     std::optional<std::string>
     lookupText(const std::string &key);
 
     /**
-     * Store @p result under @p key (compact JSON, written
-     * atomically), then evict least-recently-used entries down
-     * to `maxEntries`.
-     */
-    void store(const std::string &key,
-               const json::Value &result);
-
-    /**
-     * Text twin of `store`: @p result_text must be one compact
-     * JSON result document (the streaming serializers produce
-     * exactly that); it is written as-is, no DOM round trip.
+     * Store @p result_text under @p key, then evict
+     * least-recently-used entries down to `maxEntries`.
+     * @p result_text must be one compact JSON result document
+     * (the streaming serializers produce exactly that); it is
+     * written as-is and atomically.
      */
     void storeText(const std::string &key,
                    std::string_view result_text);

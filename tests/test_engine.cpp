@@ -627,8 +627,8 @@ TEST(Stream, RunBatchIsBitIdenticalToAssemblingTheStream)
 
     // One serialization path -> byte-equal JSON is the bit-
     // identity check across every payload kind.
-    EXPECT_EQ(batchReportToJson(assembled).dump(true),
-              batchReportToJson(batch).dump(true));
+    EXPECT_EQ(batchReportText(assembled, true),
+              batchReportText(batch, true));
 }
 
 TEST(Stream, NdjsonEventsRoundTripThroughRequestIo)
@@ -693,7 +693,7 @@ std::string
 singleProcessReport(const std::vector<AnalysisRequest> &requests)
 {
     AnalysisEngine engine(4);
-    return batchReportToJson(engine.runBatch(requests)).dump(true);
+    return batchReportText(engine.runBatch(requests), true);
 }
 
 /** A coordinated run's merged report in the same spelling. */
@@ -1247,11 +1247,14 @@ TEST(WorkQueue, IncrementalMergerIsPermutationInvariant)
     AnalysisEngine engine(4);
     const BatchReport report = engine.runBatch(batch.requests);
     const std::string expected =
-        batchReportToJson(report).dump(true);
+        batchReportText(report, true);
 
     std::vector<std::string> outcomes;
-    for (const auto &outcome : report.outcomes)
-        outcomes.push_back(outcomeToJson(outcome).dump(false));
+    json::StreamWriter writer;
+    for (const auto &outcome : report.outcomes) {
+        appendOutcome(writer, outcome);
+        outcomes.push_back(writer.take());
+    }
 
     std::vector<std::size_t> order(outcomes.size());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -1312,7 +1315,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
         AnalysisEngine engine(4);
         const BatchReport report =
             engine.runBatch(batch.requests);
-        single = batchReportToJson(report).dump(true);
+        single = batchReportText(report, true);
         for (std::size_t i = 0; i < 5; ++i)
             journal_lines.push_back(
                 streamEventLine(i, report.outcomes[i]));
@@ -1656,8 +1659,7 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
     std::string single;
     {
         AnalysisEngine engine(2);
-        single = batchReportToJson(engine.runBatch(requests))
-                     .dump(true);
+        single = batchReportText(engine.runBatch(requests), true);
     }
 
     auto transport = std::make_shared<TestTransport>();
@@ -1855,8 +1857,9 @@ TEST(ReportWriter, BlockParallelFileEqualsTheWholeReportText)
     }
     // The DOM view agrees with the streamed bytes.
     const BatchReport report = cycledReport(block + 1);
-    expectSameBytes(batchReportToJson(report).dump(true),
-                    batchReportText(report, true), "DOM view");
+    expectSameBytes(
+        json::parse(batchReportText(report, false)).dump(true),
+        batchReportText(report, true), "DOM view");
     std::filesystem::remove(path);
 }
 

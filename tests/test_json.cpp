@@ -452,8 +452,9 @@ TEST(Ondemand, RejectsDuplicateKeysLikeDom)
 }
 
 // Malformed-input matrix: every case rejects with a
-// position-bearing error from BOTH parsers, and the scanner
-// never reads past the buffer (the ASan CI job runs this file).
+// position-bearing error from BOTH entry points (the DOM builder
+// and validate), and the scanner never reads past the buffer
+// (the ASan CI job runs this file).
 TEST(Ondemand, MalformedInputMatrixRejectsWithPositions)
 {
     const char *cases[] = {
@@ -487,9 +488,12 @@ TEST(Ondemand, MalformedInputMatrixRejectsWithPositions)
         "-1e999",               // out-of-range magnitude
         "{} extra",             // trailing garbage
         "[1] [2]",              // two documents
+        "{\"a\":1,\"a\":[1,2,3]}",  // duplicate key, container value
+        "{\"a\":1,\"a\":[1,2,3}",   // duplicate key before a bad array
+        "{\"a\":1,\"\\u0061\":2}", // duplicate spelled with an escape
     };
     for (const char *text : cases) {
-        // DOM parser rejects...
+        // DOM builder rejects...
         std::string dom_error;
         try {
             parse(text);
@@ -514,6 +518,78 @@ TEST(Ondemand, MalformedInputMatrixRejectsWithPositions)
         EXPECT_NE(scan_error.find("column "), std::string::npos)
             << scan_error;
     }
+}
+
+/** The ConfigError message @p fn throws, or "" when it returns. */
+template <typename Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Ondemand, NestingDepthIsBoundedInEveryEntryPoint)
+{
+    const std::size_t limit = ondemand::kMaxNestingDepth;
+    const auto nested = [](std::size_t depth, const std::string &open,
+                           const std::string &close) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i)
+            text += open;
+        text += "1";
+        for (std::size_t i = 0; i < depth; ++i)
+            text += close;
+        return text;
+    };
+
+    // Exactly at the limit: accepted, and the tree round-trips.
+    for (const auto &[open, close] :
+         {std::pair<std::string, std::string>{"[", "]"},
+          {"{\"a\":", "}"}}) {
+        const std::string text = nested(limit, open, close);
+        ondemand::validate(text);
+        EXPECT_EQ(parse(text).dump(false), text);
+        EXPECT_EQ(ondemand::reserialize(text, false), text);
+    }
+
+    // Far past it (the shape that used to overflow the stack):
+    // every entry point fails at the first container too deep.
+    const std::pair<std::string, std::size_t> deep[] = {
+        {std::string(100000, '['), limit + 1},
+        {nested(100000, "{\"a\":", "}"), 5 * limit + 1},
+        {nested(limit + 1, "[", "]"), limit + 1},
+    };
+    for (const auto &[text, column] : deep) {
+        const std::string expected =
+            "config error: JSON parse error at line 1, column " +
+            std::to_string(column) +
+            ": containers nested deeper than 512 levels";
+        EXPECT_EQ(errorOf([&] { parse(text); }), expected);
+        EXPECT_EQ(errorOf([&] { ondemand::validate(text); }),
+                  expected);
+        EXPECT_EQ(errorOf([&] {
+                      ondemand::reserialize(text, true);
+                  }),
+                  expected);
+        EXPECT_EQ(errorOf([&] {
+                      ondemand::Scanner(text).rawValue();
+                  }),
+                  expected);
+    }
+    // findMember descends through a member's value too: the
+    // wrapping object is one level, so the limit is hit one
+    // container earlier in the same text.
+    const std::string wrapped =
+        "{\"a\":" + std::string(100000, '[') + "}";
+    EXPECT_EQ(errorOf([&] { ondemand::findMember(wrapped, "a"); }),
+              "config error: JSON parse error at line 1, column " +
+                  std::to_string(5 + limit) +
+                  ": containers nested deeper than 512 levels");
 }
 
 TEST(Ondemand, NeverReadsPastAnUnterminatedBuffer)

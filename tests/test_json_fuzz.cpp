@@ -8,11 +8,13 @@
  *
  *  - **Differential fuzz** of the wire path: random JSON *text*
  *    (random whitespace, `//` comments, escapes, exotic numbers,
- *    multi-byte UTF-8) is fed to the DOM parser and the on-demand
- *    scanner; the two must agree byte-for-byte on every accepted
- *    document and reject the same mutated/truncated inputs. The
- *    streaming writer is held to `dump` byte-identity on every
- *    generated value.
+ *    multi-byte UTF-8) is fed to `json::parse` (the DOM builder)
+ *    and `ondemand::reserialize`. Both run on the one scanner
+ *    grammar, so this is a regression guard for the builder: the
+ *    two must agree byte-for-byte on every accepted document and
+ *    reject the same mutated/truncated inputs with the same
+ *    message. The streaming writer is held to `dump`
+ *    byte-identity on every generated value.
  *
  * Every failure message carries the deterministic seed (and the
  * offending document), so any reported case replays exactly.
@@ -336,8 +338,9 @@ TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnRandomText)
 }
 
 // Mutation agreement: truncate or corrupt random valid text; the
-// two parsers must agree on accept vs reject -- and when they
-// reject, on the exact error message (position included).
+// DOM builder and the scanner must agree on accept vs reject --
+// and when they reject, on the exact error message (position
+// included).
 TEST_P(JsonFuzzTest, OndemandAgreesWithDomOnMutatedText)
 {
     const std::uint64_t seed =
