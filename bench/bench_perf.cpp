@@ -140,6 +140,20 @@ BM_MonteCarloBatched(benchmark::State &state)
 }
 BENCHMARK(BM_MonteCarloBatched)->Arg(1)->Arg(4)->Arg(8);
 
+void
+BM_MonteCarloHbmAccel(benchmark::State &state)
+{
+    // 16 identical DRAM dies: the interned die table evaluates
+    // each distinct die once per trial.
+    const AnalysisSession session =
+        ScenarioBuilder().scenario("hbm-accel").build();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            session.monteCarlo(2048, 42, Parallelism{1}));
+    }
+}
+BENCHMARK(BM_MonteCarloHbmAccel);
+
 std::vector<ChipletBox>
 floorplanBoxes(int nc)
 {

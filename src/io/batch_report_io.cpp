@@ -299,17 +299,20 @@ writeBatchReportFile(const BatchReport &report,
              ++w)
             pool.post([state] { state->work(); });
         state->writeTo(out);
+
+        edge.clear();
+        appendReportTail(edge, report, true);
+        edge += '\n';
+        out << edge;
+        out.close();
+        if (!out)
+            throw ConfigError("failed writing JSON file: " + path);
     } catch (...) {
         state->cancel();
         out.close();
         std::remove(path.c_str()); // never leave half a report
         throw;
     }
-
-    edge.clear();
-    appendReportTail(edge, report, true);
-    edge += '\n';
-    out << edge;
 }
 
 std::string

@@ -75,7 +75,8 @@ inline constexpr std::size_t kReportBlockOutcomes = 64;
  * (`AnalysisEngine::pool()`); the caller's thread keeps the write
  * moving even when the pool is busy with other work.
  *
- * @throws ConfigError when @p path cannot be opened, and whatever
+ * @throws ConfigError when @p path cannot be opened or a write to
+ *         it fails (disk full, file size limit), and whatever
  *         serializing an outcome throws (ModelError for a
  *         non-finite number); the partial file is then removed.
  */

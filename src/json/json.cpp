@@ -455,6 +455,11 @@ writeTextFile(std::string_view text, const std::string &path)
     requireConfig(static_cast<bool>(out),
                   "cannot write JSON file: " + path);
     out << text << '\n';
+    out.close();
+    if (!out) {
+        std::remove(path.c_str()); // never leave half a file
+        throw ConfigError("failed writing JSON file: " + path);
+    }
 }
 
 } // namespace ecochip::json

@@ -266,6 +266,9 @@ void writeFile(const Value &value, const std::string &path);
 /**
  * Write an already serialized document plus a newline to a file:
  * `writeFile(v, path)` is `writeTextFile(v.dump(true), path)`.
+ *
+ * @throws ConfigError naming @p path when it cannot be opened or
+ *         a write to it fails; a partial file is removed.
  */
 void writeTextFile(std::string_view text, const std::string &path);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "design/design_model.h"
@@ -85,17 +87,16 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
         return term;
     };
 
-    singleDie_ = system.singleDie;
     if (system.singleDie) {
         double area_mm2 = 0.0;
         for (const auto &block : system.chiplets)
             area_mm2 += block.areaMm2(tech);
-        mfgTerms_.push_back(
-            makeDieTerm(area_mm2, system.monolithicNodeNm()));
+        mfgDies_.push_back(internDie(
+            makeDieTerm(area_mm2, system.monolithicNodeNm())));
     } else {
         for (const auto &chiplet : system.chiplets)
-            mfgTerms_.push_back(makeDieTerm(
-                chiplet.areaMm2(tech), chiplet.nodeNm));
+            mfgDies_.push_back(internDie(makeDieTerm(
+                chiplet.areaMm2(tech), chiplet.nodeNm)));
     }
 
     // --- Packaging. ---
@@ -148,15 +149,12 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
             const double added_mm2 =
                 use_phy ? phy.areaMm2(chiplet.nodeNm)
                         : router.areaMm2(chiplet.nodeNm);
-            CommTerm term;
-            term.bareIndex = i;
-            if (added_mm2 <= 0.0)
-                term.zero = true;
-            else
-                term.grown = makeDieTerm(
-                    chiplet.areaMm2(tech) + added_mm2,
-                    chiplet.nodeNm);
-            commTerms_.push_back(term);
+            if (added_mm2 > 0.0)
+                commTerms_.push_back(
+                    {mfgDies_[i],
+                     internDie(makeDieTerm(
+                         chiplet.areaMm2(tech) + added_mm2,
+                         chiplet.nodeNm))});
             noc_power_w +=
                 use_phy
                     ? phy.powerW(chiplet.nodeNm, bit_rate_hz)
@@ -402,6 +400,21 @@ BatchEvaluator::dieTotalCo2Kg(const DieTerm &term, double s_d0,
            term.wastedCo2Kg;
 }
 
+std::size_t
+BatchEvaluator::internDie(const DieTerm &term)
+{
+    // Bitwise equality: two terms share an entry only if every
+    // trial evaluates them to the same bits. No padding, so
+    // memcmp sees exactly the fields.
+    static_assert(std::is_trivially_copyable_v<DieTerm>);
+    static_assert(sizeof(DieTerm) == 14 * sizeof(double));
+    for (std::size_t k = 0; k < dies_.size(); ++k)
+        if (std::memcmp(&dies_[k], &term, sizeof term) == 0)
+            return k;
+    dies_.push_back(term);
+    return dies_.size() - 1;
+}
+
 namespace {
 
 double
@@ -420,10 +433,10 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
                               double *operational,
                               double *total) const
 {
-    // Per-chiplet bare die carbon: computed once per trial,
+    // Carbon of each distinct die: computed once per trial,
     // consumed by both the mfg sum and the comm-growth deltas
-    // (the scalar path computes the identical value twice).
-    std::vector<double> bare(mfgTerms_.size());
+    // (the scalar path computes every copy, some of them twice).
+    std::vector<double> die(dies_.size());
 
     for (std::size_t i = begin; i < end; ++i) {
         const double s_d0 = batch.defectDensityScale[i];
@@ -454,12 +467,12 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
             1.0, dutyCycleBase_ * batch.dutyCycleScale[i]);
 
         // Manufacturing (Eqs. 4-6).
+        for (std::size_t k = 0; k < dies_.size(); ++k)
+            die[k] = dieTotalCo2Kg(dies_[k], s_d0, rb_d0, s_epa,
+                                   rb_epa, fab_t);
         double mfg_co2 = 0.0;
-        for (std::size_t d = 0; d < mfgTerms_.size(); ++d) {
-            bare[d] = dieTotalCo2Kg(mfgTerms_[d], s_d0, rb_d0,
-                                    s_epa, rb_epa, fab_t);
-            mfg_co2 += bare[d];
-        }
+        for (const std::size_t k : mfgDies_)
+            mfg_co2 += die[k];
 
         // Packaging (Sec. III-D).
         double package_co2 = 0.0;
@@ -558,14 +571,9 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
               }
             }
 
-            for (const auto &comm : commTerms_) {
-                if (comm.zero)
-                    continue;
+            for (const auto &comm : commTerms_)
                 routing_co2 +=
-                    dieTotalCo2Kg(comm.grown, s_d0, rb_d0,
-                                  s_epa, rb_epa, fab_t) -
-                    bare[comm.bareIndex];
-            }
+                    die[comm.grownDie] - die[comm.bareDie];
 
             if (!stackBonds_.empty()) {
                 double stack_co2 = 0.0;

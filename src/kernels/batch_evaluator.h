@@ -23,6 +23,17 @@
  * reproduced through hoisted PiecewiseLinear::segment() knots: a
  * rebuilt table's eval is (s*yLo) + t*((s*yHi) - (s*yLo)) on the
  * resampled base knots, computed without touching the table.
+ *
+ * Interned die table: every die whose manufacturing carbon a trial
+ * needs -- each bare chiplet die and each die grown by its PHY or
+ * router area -- is interned into one table of distinct DieTerms
+ * when the plan is built. Two terms share an entry only when all
+ * their fields are bitwise equal, so a part built from identical
+ * chiplets (HBM towers, replicated compute dies, SRAM tiers)
+ * evaluates each distinct die once per trial. The mfg sum and the
+ * routing deltas then read the table by index, in chiplet order,
+ * so every per-die expression and every summation order is the
+ * scalar path's.
  */
 
 #ifndef ECOCHIP_KERNELS_BATCH_EVALUATOR_H
@@ -105,12 +116,14 @@ class BatchEvaluator
         ScaledLookup epa;
     };
 
-    /** Per-chiplet communication silicon growth (PHY or router). */
+    /**
+     * Per-chiplet communication silicon growth (PHY or router);
+     * a chiplet whose added area is <= 0 has none.
+     */
     struct CommTerm
     {
-        DieTerm grown;
-        std::size_t bareIndex = 0; ///< index into mfgTerms_
-        bool zero = false;         ///< added area was <= 0
+        std::size_t bareDie = 0;  ///< index into dies_
+        std::size_t grownDie = 0; ///< index into dies_
     };
 
     /** Invariants of one layered-patterning carbon term. */
@@ -140,13 +153,17 @@ class BatchEvaluator
                          bool rebuild_d0, double s_epa,
                          bool rebuild_epa, double fab_t) const;
 
+    /** Index of @p term in dies_, appending it if it is new. */
+    std::size_t internDie(const DieTerm &term);
+
     // --- yield statistics ---
     YieldModelKind yieldKind_;
     double alpha_ = 0.0;
 
     // --- manufacturing ---
-    bool singleDie_ = false;
-    std::vector<DieTerm> mfgTerms_;
+    std::vector<DieTerm> dies_; ///< distinct dies, interned
+    /** The manufactured dies in chiplet order, as dies_ indices. */
+    std::vector<std::size_t> mfgDies_;
 
     // --- packaging ---
     PackagingArch arch_;

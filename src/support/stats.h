@@ -6,6 +6,7 @@
 #ifndef ECOCHIP_SUPPORT_STATS_H
 #define ECOCHIP_SUPPORT_STATS_H
 
+#include <cstddef>
 #include <vector>
 
 namespace ecochip {
@@ -14,6 +15,13 @@ namespace ecochip {
 class SampleStats
 {
   public:
+    /**
+     * Sample count from which the samples are radix-sorted
+     * (when all are finite and nonzero) instead of compared.
+     * Either sort gives the same bits.
+     */
+    static constexpr std::size_t kRadixSortMinSamples = 128;
+
     /** Construct from samples (copied and sorted internally). */
     explicit SampleStats(std::vector<double> samples);
 

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "analysis/montecarlo.h"
 #include "analysis/sensitivity.h"
 #include "core/testcases.h"
@@ -80,6 +88,134 @@ TEST(SampleStats, SingleSampleDegenerates)
     EXPECT_DOUBLE_EQ(stats.stddev(), 0.0);
     EXPECT_DOUBLE_EQ(stats.percentile(50.0), 7.0);
     EXPECT_THROW(SampleStats({}), ConfigError);
+}
+
+// ---------------------------------------------- sort equivalence
+
+::testing::AssertionResult
+bitEqual(const char *a_expr, const char *b_expr, double a, double b)
+{
+    std::uint64_t a_bits = 0, b_bits = 0;
+    std::memcpy(&a_bits, &a, sizeof a);
+    std::memcpy(&b_bits, &b, sizeof b);
+    if (a_bits == b_bits)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a_expr << " and " << b_expr
+           << " differ in bits: " << a << " vs " << b;
+}
+
+#define EXPECT_BITEQ(a, b) EXPECT_PRED_FORMAT2(bitEqual, a, b)
+
+/**
+ * SampleStats' figures computed the way it computes them, but
+ * over a std::sort of the samples.
+ */
+void
+expectMatchesStdSort(const std::vector<double> &samples)
+{
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    const double n = static_cast<double>(sorted.size());
+    double sum = 0.0;
+    for (double v : sorted)
+        sum += v;
+    const double mean = sum / n;
+    double ss = 0.0;
+    for (double v : sorted)
+        ss += (v - mean) * (v - mean);
+    const double stddev = std::sqrt(ss / (n - 1.0));
+    auto percentile = [&](double p) {
+        const double rank = p / 100.0 * (n - 1.0);
+        const auto lo = static_cast<std::size_t>(rank);
+        if (lo + 1 >= sorted.size())
+            return sorted.back();
+        const double frac = rank - static_cast<double>(lo);
+        return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+    };
+
+    const SampleStats stats(samples);
+    ASSERT_EQ(stats.count(), sorted.size());
+    EXPECT_BITEQ(stats.min(), sorted.front());
+    EXPECT_BITEQ(stats.max(), sorted.back());
+    EXPECT_BITEQ(stats.mean(), mean);
+    EXPECT_BITEQ(stats.stddev(), stddev);
+    for (double p : {0.0, 5.0, 50.0, 95.0, 100.0}) {
+        SCOPED_TRACE(::testing::Message() << "p" << p);
+        EXPECT_BITEQ(stats.percentile(p), percentile(p));
+    }
+}
+
+/** Sizes around the radix threshold, plus Monte Carlo sizes. */
+std::vector<std::size_t>
+sortSizes()
+{
+    const std::size_t t = SampleStats::kRadixSortMinSamples;
+    return {2, t - 1, t, t + 1, 512, 2048};
+}
+
+TEST(SampleStatsSort, MatchesStdSortOnSeededInputs)
+{
+    struct Shape
+    {
+        const char *name;
+        double (*draw)(Rng &);
+    };
+    const Shape shapes[] = {
+        // Monte Carlo shaped: one magnitude, a narrow band.
+        {"narrow", [](Rng &r) { return 1234.5 * r.uniform(0.9, 1.1); }},
+        {"negative", [](Rng &r) { return -r.uniform(1e-3, 1e6); }},
+        {"mixed-sign",
+         [](Rng &r) {
+             return std::ldexp(r.uniform(-1.0, 1.0),
+                               static_cast<int>(r.uniform(-60, 60)));
+         }},
+        // Few distinct values: long runs of duplicates.
+        {"duplicates",
+         [](Rng &r) {
+             return std::floor(r.uniform(-4.0, 4.0)) * 0.5 + 0.25;
+         }},
+        // One value dominates every key byte, but not all samples.
+        {"skewed",
+         [](Rng &r) {
+             return r.uniform(0.0, 1.0) < 0.9 ? 3.0
+                                              : r.uniform(-5.0, 5.0);
+         }},
+    };
+    for (const Shape &shape : shapes) {
+        for (std::size_t n : sortSizes()) {
+            SCOPED_TRACE(std::string(shape.name) + " n=" +
+                         std::to_string(n));
+            Rng rng(n * 7919 + 17);
+            std::vector<double> samples(n);
+            for (double &v : samples)
+                v = shape.draw(rng);
+            expectMatchesStdSort(samples);
+        }
+    }
+}
+
+TEST(SampleStatsSort, ZerosAndInfinitiesMatchStdSort)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    // The samples are positive, so the zeros sort first and min()
+    // shows which one leads.
+    const std::vector<std::vector<double>> specials = {
+        {0.0, -0.0}, {-0.0, 0.0}, {inf},       {-inf},
+        {inf, -inf}, {-0.0, inf}, {0.0, -inf}};
+    for (std::size_t k = 0; k < specials.size(); ++k) {
+        for (std::size_t n : sortSizes()) {
+            SCOPED_TRACE("special set " + std::to_string(k) +
+                         " n=" + std::to_string(n));
+            Rng rng(n + k);
+            std::vector<double> samples(n);
+            for (double &v : samples)
+                v = rng.uniform(0.5, 10.0);
+            for (std::size_t j = 0; j < specials[k].size(); ++j)
+                samples[(j * 37) % n] = specials[k][j];
+            expectMatchesStdSort(samples);
+        }
+    }
 }
 
 class SensitivityTest : public ::testing::Test

@@ -11,13 +11,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <random>
 #include <set>
 #include <sstream>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +36,7 @@
 #include "io/event_journal_io.h"
 #include "io/request_io.h"
 #include "io/result_writer.h"
+#include "json/json.h"
 #include "json/ondemand.h"
 #include "support/error.h"
 
@@ -1921,6 +1928,88 @@ TEST(ReportWriter, CallerFinishesTheWriteWhileThePoolIsBusy)
     expectSameBytes(readWhole(path),
                     batchReportText(report, true) + "\n",
                     "busy pool");
+    std::filesystem::remove(path);
+}
+
+/**
+ * Exit status of @p body run in a forked child whose files may
+ * not grow past @p limit_bytes. SIGXFSZ is ignored, so a write
+ * past the limit fails with EFBIG instead of killing the child.
+ * (A full-device target would not do: the failure path removes
+ * the file it wrote, and must never be pointed at a device node.)
+ */
+int
+exitStatusUnderFileSizeLimit(rlim_t limit_bytes,
+                             const std::function<int()> &body)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        int code = 90;
+        const rlimit limit{limit_bytes, limit_bytes};
+        if (std::signal(SIGXFSZ, SIG_IGN) != SIG_ERR &&
+            ::setrlimit(RLIMIT_FSIZE, &limit) == 0) {
+            try {
+                code = body();
+            } catch (...) {
+                code = 91;
+            }
+        }
+        ::_exit(code);
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid)
+        return -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -2;
+}
+
+/** 0 when @p write throws a ConfigError naming @p path and
+ *  leaves no file there. */
+int
+failsLoudly(const std::filesystem::path &path,
+            const std::function<void()> &write)
+{
+    try {
+        write();
+        return 1;
+    } catch (const ConfigError &e) {
+        if (std::string(e.what()).find(path.string()) ==
+            std::string::npos)
+            return 2;
+    }
+    return std::filesystem::exists(path) ? 3 : 0;
+}
+
+TEST(ReportWriter, FailedWriteThrowsAndRemovesThePartialFile)
+{
+    const rlim_t limit = 64 * 1024;
+    const auto path =
+        std::filesystem::path(::testing::TempDir()) /
+        ("ecochip_fsize_" + std::to_string(::getpid()) + ".json");
+    const BatchReport report =
+        cycledReport(8 * kReportBlockOutcomes);
+    ASSERT_GT(batchReportText(report, true).size(), 4 * limit);
+    const std::string text(4 * limit, ' ');
+
+    for (const int threads : {1, 2}) {
+        SCOPED_TRACE(::testing::Message() << threads << " thread(s)");
+        EXPECT_EQ(exitStatusUnderFileSizeLimit(limit, [&] {
+                      ThreadPool pool(threads);
+                      return failsLoudly(path, [&] {
+                          writeBatchReportFile(report,
+                                               path.string(), pool);
+                      });
+                  }),
+                  0);
+    }
+    EXPECT_EQ(exitStatusUnderFileSizeLimit(limit, [&] {
+                  return failsLoudly(path, [&] {
+                      json::writeTextFile(text, path.string());
+                  });
+              }),
+              0);
+    // The same writes succeed without the limit.
+    json::writeTextFile(text, path.string());
+    EXPECT_EQ(std::filesystem::file_size(path), text.size() + 1);
     std::filesystem::remove(path);
 }
 

@@ -6,6 +6,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -79,8 +82,14 @@ class NodeListTest : public ::testing::Test
     std::string
     writeList(const std::string &content)
     {
+        // One file per test and process: ctest runs the cases
+        // of this fixture at once.
         const std::string path =
-            ::testing::TempDir() + "/ecochip_nodes.txt";
+            ::testing::TempDir() + "/ecochip_nodes_" +
+            ::testing::UnitTest::GetInstance()
+                ->current_test_info()
+                ->name() +
+            "_" + std::to_string(::getpid()) + ".txt";
         std::ofstream out(path);
         out << content;
         out.close();

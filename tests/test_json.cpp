@@ -9,7 +9,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <utility>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -181,8 +184,9 @@ TEST(JsonDump, PrettyPrintIndents)
 
 TEST(JsonFile, WriteAndParseFile)
 {
-    const std::string path =
-        ::testing::TempDir() + "/ecochip_json_test.json";
+    const std::string path = ::testing::TempDir() +
+                             "/ecochip_json_test_" +
+                             std::to_string(::getpid()) + ".json";
     Value obj = Value::makeObject();
     obj.set("answer", 42);
     writeFile(obj, path);

@@ -401,11 +401,14 @@ TEST(KernelSweepGolden, SweptPointMatchesDirectEstimate)
 
 TEST(KernelMonteCarloGolden, BitIdenticalToScalarTrials)
 {
+    // Every builtin: the repeated dies and tiers (server-4die,
+    // hbm-accel, emr, ga102-hbm, riscv-manycore64, arvr-2k) share
+    // interned die entries, and the -mono scenarios take the
+    // single-die path.
     const TechDb tech;
     const UncertaintyBands bands;
     for (const std::string &name :
-         {std::string("ga102"), std::string("server-4die"),
-          std::string("hbm-accel")}) {
+         ScenarioRegistry::builtin().names()) {
         SCOPED_TRACE("scenario " + name);
         const DesignBundle bundle =
             ScenarioRegistry::builtin().instantiate(name, tech);
@@ -428,6 +431,35 @@ TEST(KernelMonteCarloGolden, BitIdenticalToScalarTrials)
             expectStatsBitIdentical(expected.total, actual.total);
         }
     }
+}
+
+TEST(KernelMonteCarloGolden, EqualAreaDiesAtDifferentNodesStayDistinct)
+{
+    // Dies that agree in area but not in node must not share an
+    // interned entry: the die table compares every field. The
+    // first and last dies are identical and do share one.
+    const TechDb tech;
+    EcoChipConfig config;
+    config.package.arch = PackagingArch::RdlFanout;
+    config.operating = testcases::ga102Operating();
+    SystemSpec system;
+    system.name = "equal-area";
+    for (double node_nm : {7.0, 10.0, 14.0, 7.0})
+        system.chiplets.push_back(Chiplet::fromArea(
+            "die", DesignType::Logic, node_nm, 100.0, tech));
+    ASSERT_EQ(system.chiplets[0].areaMm2(tech),
+              system.chiplets[2].areaMm2(tech));
+
+    const UncertaintyBands bands;
+    const UncertaintyReport expected =
+        scalarMonteCarlo(config, tech, bands, system, 16, 7);
+    const UncertaintyReport actual =
+        MonteCarloAnalyzer(config, tech, bands)
+            .run(system, 16, 7, Parallelism{1});
+    expectStatsBitIdentical(expected.embodied, actual.embodied);
+    expectStatsBitIdentical(expected.operational,
+                            actual.operational);
+    expectStatsBitIdentical(expected.total, actual.total);
 }
 
 TEST(KernelMonteCarloGolden, ThreadCountNeverChangesTheReport)
