@@ -133,6 +133,7 @@
 #include "engine/analysis_engine.h"
 #include "engine/shard_coordinator.h"
 #include "engine/shard_runner.h"
+#include "engine/work_queue.h"
 #include "io/batch_report_io.h"
 #include "io/event_journal_io.h"
 #include "io/host_manifest_io.h"
@@ -888,45 +889,25 @@ runConnect(const CliOptions &opts)
     }
 
     // One event line per request, completion order; echo each as
-    // it arrives and slot it by index for the report document.
-    std::vector<json::Value> events(batch.requests.size());
-    std::size_t succeeded = 0;
+    // it arrives and merge it by index -- the same span merge the
+    // coordinator runs, so the report is `--batch --json`'s bytes.
+    IncrementalMerger merger(batch.requests.size());
     for (std::size_t i = 0; i < batch.requests.size(); ++i) {
         const std::string line = client.readLine();
         std::cout << line << std::endl;
-        json::Value event = json::parse(line);
-        const auto index = static_cast<std::size_t>(
-            event.at("index").asInteger());
-        requireModel(index < events.size(),
-                     "server answered an out-of-range request "
-                     "index");
-        if (event.booleanOr("ok", false))
-            ++succeeded;
-        events[index] = std::move(event);
+        JournalEntryText entry =
+            splitEventLine(line, "served event line");
+        merger.add(entry.index, std::move(entry.outcome));
     }
+    const std::size_t succeeded =
+        merger.doneCount() - merger.failedCount();
 
     std::cerr << succeeded << "/" << batch.requests.size()
               << " requests ok (served over "
               << opts.connectPath << ")\n";
 
     if (opts.jsonPath) {
-        // The BatchReport document `--batch --json` writes:
-        // strip the wire-only "index", order by request index.
-        json::Value doc = json::Value::makeObject();
-        doc.set("succeeded", static_cast<double>(succeeded));
-        doc.set("failed",
-                static_cast<double>(batch.requests.size() -
-                                    succeeded));
-        json::Value outcomes = json::Value::makeArray();
-        for (const auto &event : events) {
-            json::Value outcome = json::Value::makeObject();
-            for (const auto &[key, value] : event.members())
-                if (key != "index")
-                    outcome.set(key, value);
-            outcomes.append(std::move(outcome));
-        }
-        doc.set("outcomes", std::move(outcomes));
-        json::writeFile(doc, *opts.jsonPath);
+        json::writeTextFile(merger.reportText(true), *opts.jsonPath);
         std::cerr << "results written to " << *opts.jsonPath
                   << "\n";
     }

@@ -6,8 +6,8 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -319,174 +319,16 @@ CommandTransport::cancel(std::size_t shard)
     cancelPidTable(pids_, shard);
 }
 
-// ---------------------------------------------- TestTransport
-
-void
-TestTransport::injectFault(std::size_t shard,
-                           TransportFault fault)
-{
-    schedule_[shard].push_back(fault);
-}
-
-void
-TestTransport::injectHangs(std::size_t shard, std::size_t count)
-{
-    TransportFault fault;
-    fault.kind = TransportFault::Kind::Hang;
-    for (std::size_t i = 0; i < count; ++i)
-        injectFault(shard, fault);
-}
-
-void
-TestTransport::injectFailures(std::size_t shard,
-                              std::size_t count)
-{
-    TransportFault fault;
-    fault.kind = TransportFault::Kind::Fail;
-    for (std::size_t i = 0; i < count; ++i)
-        injectFault(shard, fault);
-}
-
-void
-TestTransport::setSpeed(double seconds,
-                        double per_request_seconds)
-{
-    delaySeconds_ = seconds;
-    perRequestDelaySeconds_ = per_request_seconds;
-}
-
-void
-TestTransport::start(const ShardDispatch &dispatch)
-{
-    history_.push_back(dispatch);
-    const std::size_t nth = dispatches_[dispatch.shard]++;
-
-    LiveDispatch live;
-    live.dispatch = dispatch;
-
-    std::optional<TransportFault> fault;
-    const auto it = schedule_.find(dispatch.shard);
-    if (it != schedule_.end() && nth < it->second.size())
-        fault = it->second[nth];
-
-    if (fault && fault->kind == TransportFault::Kind::Hang) {
-        live.hung = true;
-        live_[dispatch.shard] = std::move(live);
-        return;
-    }
-    if (fault && fault->kind == TransportFault::Kind::Fail) {
-        live.exitCode = fault->exitCode; // died, no report
-        live_[dispatch.shard] = std::move(live);
-        return;
-    }
-
-    // Healthy (or slow / kill-mid-stream) dispatch: the worker
-    // runs in-process at the first poll past the readiness
-    // point, so an uneven-speed host is modeled as completions
-    // that simply take longer to surface.
-    double delay = delaySeconds_;
-    if (perRequestDelaySeconds_ > 0.0)
-        delay += perRequestDelaySeconds_ *
-                 static_cast<double>(
-                     loadBatchFile(dispatch.subBatchPath)
-                         .requests.size());
-    if (fault && fault->kind == TransportFault::Kind::Slow)
-        delay += fault->delaySeconds;
-    if (fault &&
-        fault->kind == TransportFault::Kind::KillMidStream)
-        live.truncateEvents = fault->eventLines;
-    live.readyAt =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(delay));
-    live_[dispatch.shard] = std::move(live);
-}
-
-std::optional<int>
-TestTransport::poll(std::size_t shard)
-{
-    const auto it = live_.find(shard);
-    requireModel(it != live_.end(),
-                 "poll() on a shard with no live dispatch");
-    LiveDispatch &live = it->second;
-    if (live.hung)
-        return std::nullopt; // hung until cancelled
-    if (live.exitCode) {
-        const int code = *live.exitCode;
-        live_.erase(it);
-        return code;
-    }
-    if (std::chrono::steady_clock::now() < live.readyAt)
-        return std::nullopt; // still "running"
-
-    const ShardDispatch dispatch = live.dispatch;
-    const auto truncate = live.truncateEvents;
-    live_.erase(it);
-
-    const std::string events_path =
-        dispatch.eventsPath.empty()
-            ? eventsPathFor(dispatch.reportPath)
-            : dispatch.eventsPath;
-    if (!truncate)
-        return runShardWorker(
-            dispatch.subBatchPath, dispatch.reportPath,
-            dispatch.engineThreads, dispatch.scenariosPath,
-            events_path);
-
-    // Kill-mid-stream: run the worker against scratch paths,
-    // deliver only its first N event lines, and report a
-    // SIGKILL exit -- no report file, a partial stream.
-    const std::string scratch_report =
-        dispatch.reportPath + ".killtmp";
-    const std::string scratch_events = events_path + ".killtmp";
-    runShardWorker(dispatch.subBatchPath, scratch_report,
-                   dispatch.engineThreads,
-                   dispatch.scenariosPath, scratch_events);
-    {
-        std::ifstream in(scratch_events);
-        std::ofstream out(events_path,
-                          std::ios::out | std::ios::trunc);
-        std::string line;
-        for (std::size_t n = 0;
-             n < *truncate && std::getline(in, line); ++n)
-            out << line << '\n';
-    }
-    std::error_code ec;
-    std::filesystem::remove(scratch_report, ec);
-    std::filesystem::remove(scratch_events, ec);
-    return 128 + 9; // SIGKILLed worker
-}
-
-void
-TestTransport::cancel(std::size_t shard)
-{
-    const auto it = live_.find(shard);
-    requireModel(it != live_.end(),
-                 "cancel() on a shard with no live dispatch");
-    live_.erase(it);
-    ++cancelled_;
-}
-
 // ---------------------------------------------- coordinator
 
 namespace {
 
-std::shared_ptr<ShardTransport>
-defaultTransport(const HostSpec &host)
-{
-    if (host.isLocal())
-        return std::make_shared<LocalProcessTransport>();
-    return std::make_shared<CommandTransport>(host);
-}
+using SteadyClock = std::chrono::steady_clock;
 
-} // namespace
-
-CoordinatedRunResult
-runDynamicCoordinatedBatch(const CoordinatorOptions &options)
+void
+validateOptions(const CoordinatorOptions &options)
 {
-    const auto &hosts = options.hosts.hosts;
-    requireConfig(!hosts.empty(),
+    requireConfig(!options.hosts.hosts.empty(),
                   "host manifest names no hosts");
     requireConfig(options.retries >= 0,
                   "--retries must be >= 0");
@@ -502,616 +344,627 @@ runDynamicCoordinatedBatch(const CoordinatorOptions &options)
     requireConfig(!options.resume || !options.shardDir.empty(),
                   "--resume replays the outcome journal of a "
                   "previous run; it requires --shard_dir");
+}
 
-    const BatchFile batch = loadBatchFile(options.batchPath);
-    const std::size_t total = batch.requests.size();
-
-    const bool temporary = options.shardDir.empty();
-    const std::string dir =
-        temporary
-            ? (std::filesystem::temp_directory_path() /
-               ("ecochip_coordinate_" +
-                std::to_string(
+/** The run's scratch directory: `shardDir` (left in place), or a
+ *  pid-scoped temp directory removed however the run ends. */
+struct ScratchDir
+{
+    explicit ScratchDir(const std::string &shard_dir)
+        : temporary(shard_dir.empty()),
+          path(temporary ? temporaryPath() : shard_dir)
+    {
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        if (temporary)
+            std::filesystem::remove_all(path, ec);
+    }
+    static std::string temporaryPath()
+    {
 #if ECOCHIP_COORD_HAS_FORK
-                    static_cast<long>(getpid())
+        const long pid = static_cast<long>(getpid());
 #else
-                    0L
+        const long pid = 0;
 #endif
-                        )))
-                  .string()
-            : options.shardDir;
+        return (std::filesystem::temp_directory_path() /
+                ("ecochip_coordinate_" + std::to_string(pid)))
+            .string();
+    }
+    const bool temporary;
+    const std::string path;
+};
 
-    std::vector<std::shared_ptr<ShardTransport>> transports;
-    transports.reserve(hosts.size());
-    for (const auto &host : hosts)
-        transports.push_back(options.transportFactory
-                                 ? options.transportFactory(host)
-                                 : defaultTransport(host));
+/**
+ * On resume, replay the journal at @p journal_path into @p merger
+ * (each entry must answer this batch's request at its index) and
+ * return the outcomes replayed. A fresh run unlinks a stale
+ * journal, so a reused shard_dir cannot leak old outcomes.
+ */
+std::size_t
+replayJournal(const std::string &journal_path,
+              const CoordinatorOptions &options,
+              const BatchFile &batch, IncrementalMerger &merger)
+{
+    if (!options.resume) {
+        std::error_code stale_ec;
+        std::filesystem::remove(journal_path, stale_ec);
+        return 0;
+    }
+    const std::string foreign =
+        "; the journal belongs to a different batch -- remove it "
+        "or run without --resume";
+    const std::size_t total = batch.requests.size();
+    std::size_t resumed = 0;
+    for (auto &entry : replayEventJournalText(journal_path)) {
+        requireConfig(entry.index < total,
+                      journal_path + ": journaled index " +
+                          std::to_string(entry.index) +
+                          " is out of range for this batch (" +
+                          std::to_string(total) + " requests)" +
+                          foreign);
+        // The journaled outcome is canonical compact text, so its
+        // "request" span compares directly against the canonical
+        // request serialization -- no DOM on either side.
+        json::StreamWriter expected;
+        appendRequest(expected, batch.requests[entry.index]);
+        const auto echoed =
+            json::ondemand::findMember(entry.outcome, "request");
+        requireConfig(echoed && *echoed == expected.take(),
+                      journal_path +
+                          ": the journaled outcome for index " +
+                          std::to_string(entry.index) +
+                          " does not answer this batch's request "
+                          "at that index" +
+                          foreign);
+        if (merger.add(entry.index, std::move(entry.outcome)))
+            ++resumed;
+    }
+    return resumed;
+}
 
-    CoordinatedRunResult result;
+/** Binding-cohesive chunks over the requests still unanswered. */
+ChunkPlan
+planRemaining(const CoordinatorOptions &options,
+              const BatchFile &batch,
+              const std::vector<std::size_t> &remaining)
+{
+    if (remaining.empty())
+        return {};
+    // Auto target: ~3 chunks per slot, so fast hosts keep pulling
+    // while a straggler grinds on one.
+    const std::size_t chunks =
+        3 * static_cast<std::size_t>(
+                std::max(1, options.hosts.totalSlots()));
+    const int target =
+        options.chunkTargetRequests > 0
+            ? options.chunkTargetRequests
+            : static_cast<int>(std::max<std::size_t>(
+                  1, (remaining.size() + chunks - 1) / chunks));
+    return planChunksOver(batch.requests, remaining, target);
+}
+
+/** Engine threads per worker: explicit, or the machine divided
+ *  between the workers that can actually run at once. */
+int
+workerThreadsFor(const CoordinatorOptions &options,
+                 std::size_t chunk_count)
+{
+    if (options.engineThreadsPerWorker > 0)
+        return options.engineThreadsPerWorker;
+    const int concurrent =
+        std::max(1, std::min(options.hosts.totalSlots(),
+                             static_cast<int>(chunk_count)));
+    return std::max(1, Parallelism::hardware().threads / concurrent);
+}
+
+/**
+ * The outcomes of the `BatchReport` file at @p path, each as
+ * canonical compact text, scanned without a DOM; empty when the
+ * file is missing or is not a readable report.
+ */
+std::vector<std::string>
+readReportOutcomes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string text(std::istreambuf_iterator<char>(in), {});
+    std::vector<std::string> outcomes;
     try {
+        json::ondemand::Scanner scanner(text);
+        scanner.beginObject();
+        std::string key;
+        while (scanner.nextMember(key)) {
+            if (key != "outcomes") {
+                scanner.rawValue();
+                continue;
+            }
+            scanner.beginArray();
+            json::StreamWriter writer;
+            while (scanner.nextElement()) {
+                json::ondemand::reserializeValue(scanner, writer);
+                outcomes.push_back(writer.take());
+            }
+        }
+        scanner.expectEnd();
+    } catch (const std::exception &) {
+        return {};
+    }
+    return outcomes;
+}
+
+/** The synthetic failure an aborted run reports for a request it
+ *  never ran: visible in the report, absent from the journal, so
+ *  `--resume` can still finish it. */
+std::string
+abortedOutcome(const AnalysisRequest &request,
+               std::size_t failure_threshold)
+{
+    json::StreamWriter writer;
+    writer.beginObject();
+    writer.key("request");
+    appendRequest(writer, request);
+    writer.key("ok");
+    writer.boolean(false);
+    writer.key("error");
+    writer.string("aborted: the early-abort policy stopped "
+                  "dispatching after " +
+                  std::to_string(failure_threshold) +
+                  " failed request(s)");
+    writer.endObject();
+    return writer.take();
+}
+
+/** Scheduling state of one work chunk. */
+struct ChunkState
+{
+    std::size_t attempts = 0; // dispatches started so far
+    std::set<std::size_t> excludedHosts; // hosts it failed on
+    /** The live dispatch; unset while not in flight. */
+    std::optional<ShardDispatch> live;
+    /** Host index and start time of the latest dispatch. */
+    std::size_t host = 0;
+    SteadyClock::time_point started;
+    NdjsonTailReader events; // tail of the live event file
+    /** Outcomes merged so far, across all attempts. */
+    std::size_t deliveredRequests = 0;
+};
+
+/**
+ * One coordinated run: its state and the steps of its
+ * single-threaded loop. Each turn, `dispatchReady` hands every
+ * ready chunk to a free slot; then each in-flight chunk, in chunk
+ * order, is `drain`ed and then `reap`ed (its dispatch exited) or
+ * `expire`d (it missed the deadline). Failures go through
+ * `retry`; `release` is the one place a chunk leaves flight.
+ */
+struct CoordinatorRun
+{
+    const CoordinatorOptions &options;
+    const BatchFile &batch;
+    std::vector<std::shared_ptr<ShardTransport>> transports;
+    IncrementalMerger merger;
+    EventJournalWriter journal;
+    ChunkPlan plan;
+    std::vector<std::string> chunkFiles;
+    std::vector<ChunkState> chunks;
+    std::vector<int> freeSlots;
+    std::deque<std::size_t> ready;
+    std::vector<CoordinatorProgress::Host> hostProgress;
+    std::size_t completed = 0;
+    std::size_t abandoned = 0;
+    std::size_t freshDelivered = 0;
+    bool aborted = false;
+    SteadyClock::time_point runStart;
+    SteadyClock::time_point lastEmit;
+    CoordinatedRunResult result;
+
+    /** Setup: journal replay, chunk plan and files, threads. */
+    CoordinatorRun(
+        const CoordinatorOptions &run_options,
+        const BatchFile &run_batch,
+        std::vector<std::shared_ptr<ShardTransport>> run_transports,
+        const std::string &dir)
+        : options(run_options), batch(run_batch),
+          transports(std::move(run_transports)),
+          merger(run_batch.requests.size())
+    {
         std::filesystem::create_directories(dir);
-        const std::string journal_path =
-            (std::filesystem::path(dir) /
-             coordinatorJournalName())
+        result.journalPath =
+            (std::filesystem::path(dir) / coordinatorJournalName())
                 .string();
+        result.resumedOutcomes =
+            replayJournal(result.journalPath, options, batch, merger);
+        journal.open(result.journalPath, options.resume);
 
-        IncrementalMerger merger(total);
-        std::size_t resumed = 0;
-        if (options.resume) {
-            for (auto &entry :
-                 replayEventJournalText(journal_path)) {
-                requireConfig(
-                    entry.index < total,
-                    journal_path + ": journaled index " +
-                        std::to_string(entry.index) +
-                        " is out of range for this batch (" +
-                        std::to_string(total) +
-                        " requests); the journal belongs to a "
-                        "different batch -- remove it or run "
-                        "without --resume");
-                // The journaled outcome is canonical compact
-                // text, so its "request" span compares directly
-                // against the canonical request serialization --
-                // no DOM on either side.
-                json::StreamWriter expected_writer;
-                appendRequest(expected_writer,
-                              batch.requests[entry.index]);
-                const std::string expected =
-                    expected_writer.take();
-                const auto echoed = json::ondemand::findMember(
-                    entry.outcome, "request");
-                requireConfig(
-                    echoed && *echoed == expected,
-                    journal_path +
-                        ": the journaled outcome for index " +
-                        std::to_string(entry.index) +
-                        " does not answer this batch's request "
-                        "at that index; the journal belongs to "
-                        "a different batch -- remove it or run "
-                        "without --resume");
-                if (merger.add(entry.index,
-                               std::move(entry.outcome)))
-                    ++resumed;
-            }
-        } else {
-            // Fresh run: a stale journal from a previous run in
-            // a reused shard_dir must not leak into this run's
-            // checkpoint (the same hygiene as stale shard
-            // reports).
-            std::error_code stale_ec;
-            std::filesystem::remove(journal_path, stale_ec);
-        }
+        plan = planRemaining(options, batch, merger.missingIndices());
+        result.chunksPlanned = plan.chunkCount();
+        result.threadsPerWorker =
+            workerThreadsFor(options, result.chunksPlanned);
+        chunkFiles = writeChunkFiles(batch, plan, dir);
 
-        EventJournalWriter journal;
-        journal.open(journal_path, options.resume);
-
-        const auto remaining = merger.missingIndices();
-        ChunkPlan plan;
-        if (!remaining.empty()) {
-            const int slots =
-                std::max(1, options.hosts.totalSlots());
-            // Auto target: ~3 chunks per slot, so fast hosts
-            // keep pulling while a straggler grinds on one.
-            const int target =
-                options.chunkTargetRequests > 0
-                    ? options.chunkTargetRequests
-                    : static_cast<int>(std::max<std::size_t>(
-                          1, (remaining.size() +
-                              3 * static_cast<std::size_t>(
-                                      slots) -
-                              1) /
-                                 (3 * static_cast<std::size_t>(
-                                          slots))));
-            plan = planChunksOver(batch.requests, remaining,
-                                  target);
-        }
-        const std::size_t chunk_count = plan.chunkCount();
-
-        // Concurrency = min(slots, chunks): divide the machine
-        // between the workers that can actually run at once.
-        const int concurrent = std::max(
-            1, std::min(options.hosts.totalSlots(),
-                        static_cast<int>(chunk_count)));
-        const int worker_threads =
-            options.engineThreadsPerWorker > 0
-                ? options.engineThreadsPerWorker
-                : std::max(1, Parallelism::hardware().threads /
-                                  concurrent);
-
-        result.chunksPlanned = chunk_count;
-        result.resumedOutcomes = resumed;
-        result.threadsPerWorker = worker_threads;
-        result.journalPath = journal_path;
-        const std::vector<std::string> chunk_files =
-            writeChunkFiles(batch, plan, dir);
-
-        struct ChunkState
-        {
-            std::size_t attempts = 0;
-            std::set<std::size_t> excludedHosts;
-            bool inFlight = false;
-            bool done = false;
-            /** Abort policy: never (re-)dispatched. */
-            bool abandoned = false;
-            std::size_t host = 0;
-            std::chrono::steady_clock::time_point started;
-            std::string currentReport;
-
-            /** Tail over the live dispatch's event file. */
-            NdjsonTailReader events;
-
-            /** This chunk's outcomes merged so far (across all
-             *  of its attempts). */
-            std::size_t deliveredRequests = 0;
-        };
-        std::vector<ChunkState> states(chunk_count);
-        std::vector<int> free_slots;
-        for (const auto &host : hosts)
-            free_slots.push_back(host.slots);
-        std::deque<std::size_t> ready;
-        for (std::size_t c = 0; c < chunk_count; ++c)
+        chunks.resize(result.chunksPlanned);
+        for (std::size_t c = 0; c < chunks.size(); ++c)
             ready.push_back(c);
-        std::size_t completed = 0;
-        std::size_t abandoned = 0;
-        bool aborted = false;
-
-        std::vector<CoordinatorProgress::Host> host_progress;
-        for (const auto &host : hosts) {
-            CoordinatorProgress::Host row;
-            row.name = host.name;
-            host_progress.push_back(std::move(row));
+        for (const auto &host : options.hosts.hosts) {
+            freeSlots.push_back(host.slots);
+            hostProgress.emplace_back().name = host.name;
         }
+        runStart = SteadyClock::now();
+        lastEmit = runStart - std::chrono::hours(1);
+    }
 
-        const auto run_start = std::chrono::steady_clock::now();
-        auto last_emit = run_start - std::chrono::hours(1);
-        std::size_t fresh_delivered = 0;
-
-        const auto emit_progress = [&](bool force) {
-            if (!options.onProgress)
-                return;
-            const auto now = std::chrono::steady_clock::now();
-            if (!force &&
-                std::chrono::duration<double>(now - last_emit)
-                        .count() < 0.05)
-                return;
-            last_emit = now;
-            CoordinatorProgress snapshot;
-            snapshot.hosts = host_progress;
-            snapshot.chunksTotal = chunk_count;
-            snapshot.chunksDone = completed;
-            for (const auto &st : states)
-                if (st.inFlight)
-                    ++snapshot.chunksInFlight;
-            snapshot.requestsTotal = total;
-            snapshot.requestsDone = merger.doneCount();
-            snapshot.requestsFailed = merger.failedCount();
-            snapshot.resumedOutcomes = resumed;
-            snapshot.elapsedSeconds =
-                std::chrono::duration<double>(now - run_start)
-                    .count();
-            snapshot.requestsPerSecond =
-                snapshot.elapsedSeconds > 0.0
-                    ? static_cast<double>(fresh_delivered) /
-                          snapshot.elapsedSeconds
-                    : 0.0;
-            snapshot.aborted = aborted;
-            options.onProgress(snapshot);
-        };
-
-        const auto record_attempt =
-            [&](std::size_t chunk, bool ok,
-                const std::string &reason) {
-                const ChunkState &st = states[chunk];
-                result.attempts.push_back(
-                    {chunk, st.attempts - 1,
-                     hosts[st.host].name, ok, reason});
-            };
-
-        // First delivery of a chunk-local outcome: journal it,
-        // merge it, count it. Duplicates (a retried chunk
-        // re-streaming what its failed attempt already
-        // delivered) are dropped -- results are deterministic,
-        // so the first copy is the only copy needed.
-        const auto deliver = [&](std::size_t chunk,
-                                 std::size_t local,
-                                 std::string outcome_text) {
-            requireConfig(
-                local < plan.chunks[chunk].size(),
-                "chunk #" + std::to_string(chunk) +
-                    " delivered an event for index " +
-                    std::to_string(local) + " but holds only " +
-                    std::to_string(plan.chunks[chunk].size()) +
-                    " requests");
-            const std::size_t original =
-                plan.chunks[chunk][local];
-            if (merger.filled(original))
-                return;
-            journal.append(original,
-                           std::string_view(outcome_text));
-            merger.add(original, std::move(outcome_text));
-            ChunkState &st = states[chunk];
-            ++st.deliveredRequests;
-            ++host_progress[st.host].doneRequests;
-            ++fresh_delivered;
-        };
-
-        /** Consume the new complete event lines of a chunk's
-         *  live dispatch; true when anything arrived. */
-        const auto drain_events = [&](std::size_t chunk) {
-            bool any = false;
-            ChunkState &st = states[chunk];
-            for (const auto &line : st.events.poll()) {
-                // splitEventLine's scan validates the whole line;
-                // a parse error must still name the events file.
-                JournalEntryText entry;
-                try {
-                    entry = splitEventLine(line, st.events.path());
-                } catch (const std::exception &e) {
-                    throw ConfigError(
-                        st.events.path() +
-                        ": malformed worker event line: " +
-                        e.what());
-                }
-                deliver(chunk, entry.index,
-                        std::move(entry.outcome));
-                any = true;
-            }
-            return any;
-        };
-
-        // Threshold met: stop feeding the queue. Undispatched
-        // chunks are cancelled outright; in-flight ones drain.
-        const auto maybe_abort = [&]() {
-            if (aborted ||
-                options.abortAfterFailedRequests == 0 ||
-                merger.failedCount() <
-                    options.abortAfterFailedRequests)
-                return;
-            aborted = true;
-            while (!ready.empty()) {
-                states[ready.front()].abandoned = true;
-                ++abandoned;
-                ready.pop_front();
-            }
-        };
-
-        const auto handle_failure = [&](std::size_t chunk,
-                                        const std::string
-                                            &reason) {
-            ChunkState &st = states[chunk];
-            st.inFlight = false;
-            ++free_slots[st.host];
-            record_attempt(chunk, false, reason);
-            if (aborted) {
-                // The run is already winding down; spending
-                // retries on a doomed merge helps nobody.
-                st.abandoned = true;
-                ++abandoned;
-                return;
-            }
-            if (static_cast<int>(st.attempts) >
-                options.retries) {
-                std::string history;
-                for (const auto &attempt : result.attempts)
-                    if (attempt.shard == chunk)
-                        history += "\n  attempt #" +
-                                   std::to_string(
-                                       attempt.attempt) +
-                                   " on host '" + attempt.host +
-                                   "': " + attempt.reason;
-                throw Error(
-                    "chunk #" + std::to_string(chunk) + " (" +
-                    chunk_files[chunk] +
-                    ") has no retries left after " +
-                    std::to_string(st.attempts) +
-                    " attempt(s); dispatch history:" + history);
-            }
-            st.excludedHosts.insert(st.host);
-            ++result.redispatches;
-            ready.push_back(chunk);
-        };
-
-        const auto cancel_in_flight = [&]() {
-            for (std::size_t chunk = 0; chunk < states.size();
-                 ++chunk)
-                if (states[chunk].inFlight)
-                    try {
-                        transports[states[chunk].host]->cancel(
-                            chunk);
-                    } catch (...) {
-                        // Best effort; keep the original error.
-                    }
-        };
-
+    /** Schedule every chunk to completion (or abort) and merge;
+     *  live dispatches are cancelled if the run throws. */
+    CoordinatedRunResult run()
+    {
         try {
             std::chrono::milliseconds idle_sleep{1};
-            constexpr std::chrono::milliseconds max_idle_sleep{
-                50};
-            maybe_abort(); // resumed failures may already trip it
-            while (completed + abandoned < chunk_count) {
-                // Pull: every free slot takes the next queued
-                // chunk on the first (manifest order) host it has
-                // not failed on; once a chunk has failed
-                // everywhere, any host will do -- a one-host
-                // manifest must still be able to retry.
-                for (std::size_t n = ready.size(); n > 0; --n) {
-                    const std::size_t chunk = ready.front();
-                    ready.pop_front();
-                    ChunkState &st = states[chunk];
-                    bool any_unexcluded = false;
-                    for (std::size_t h = 0; h < hosts.size();
-                         ++h)
-                        if (st.excludedHosts.count(h) == 0)
-                            any_unexcluded = true;
-                    std::optional<std::size_t> chosen;
-                    for (std::size_t h = 0; h < hosts.size();
-                         ++h) {
-                        if (free_slots[h] <= 0)
-                            continue;
-                        if (any_unexcluded &&
-                            st.excludedHosts.count(h) != 0)
-                            continue;
-                        chosen = h;
-                        break;
-                    }
-                    if (!chosen) {
-                        ready.push_back(chunk); // wait for a slot
-                        continue;
-                    }
-
-                    ShardDispatch dispatch;
-                    dispatch.shard = chunk;
-                    dispatch.attempt = st.attempts;
-                    dispatch.host = hosts[*chosen].name;
-                    dispatch.subBatchPath = chunk_files[chunk];
-                    // Retries write to a fresh per-attempt path:
-                    // a cancelled straggler whose worker outlives
-                    // the kill (an orphan behind ssh or a shell
-                    // wrapper) may still scribble on *its* report
-                    // and event files, and must never race the
-                    // retry's output.
-                    dispatch.reportPath =
-                        chunk_files[chunk] + ".report";
-                    if (st.attempts > 0)
-                        dispatch.reportPath +=
-                            ".retry" +
-                            std::to_string(st.attempts);
-                    dispatch.eventsPath =
-                        eventsPathFor(dispatch.reportPath);
-                    dispatch.engineThreads = worker_threads;
-                    dispatch.scenariosPath =
-                        options.scenariosPath;
-                    dispatch.workerExe = options.workerExe;
-
-                    // Stale outputs (previous run, reused
-                    // shard_dir) must never merge as this
-                    // dispatch's.
-                    std::error_code ec;
-                    std::filesystem::remove(dispatch.reportPath,
-                                            ec);
-                    std::filesystem::remove(dispatch.eventsPath,
-                                            ec);
-
-                    ++st.attempts;
-                    st.host = *chosen;
-                    st.currentReport = dispatch.reportPath;
-                    st.events.reset(dispatch.eventsPath);
-                    st.started =
-                        std::chrono::steady_clock::now();
-                    st.inFlight = true;
-                    --free_slots[*chosen];
-                    ++host_progress[*chosen].inFlightChunks;
-                    transports[*chosen]->start(dispatch);
-                    emit_progress(false);
-                }
-
-                // Poll: tail event streams, collect completions,
-                // cancel stragglers.
-                bool progressed = false;
-                for (std::size_t chunk = 0;
-                     chunk < states.size(); ++chunk) {
-                    ChunkState &st = states[chunk];
-                    if (!st.inFlight)
-                        continue;
-                    if (drain_events(chunk))
-                        progressed = true;
-                    const auto code =
-                        transports[st.host]->poll(chunk);
-                    if (code) {
-                        progressed = true;
-                        drain_events(chunk); // final lines
-                        const bool exit_ok =
-                            *code == 0 || *code == 1;
-                        const std::size_t chunk_size =
-                            plan.chunks[chunk].size();
-                        if (exit_ok &&
-                            st.deliveredRequests < chunk_size &&
-                            std::filesystem::exists(
-                                st.currentReport)) {
-                            // A worker that streams no events (a
-                            // custom command template) still
-                            // merges -- from its report file,
-                            // scanned without a DOM.
-                            try {
-                                std::ifstream in(
-                                    st.currentReport,
-                                    std::ios::binary);
-                                std::ostringstream buf;
-                                buf << in.rdbuf();
-                                const std::string text =
-                                    buf.str();
-                                json::ondemand::Scanner scanner(
-                                    text);
-                                scanner.beginObject();
-                                std::string key;
-                                std::vector<std::string>
-                                    outcomes;
-                                bool has_outcomes = false;
-                                while (scanner.nextMember(key)) {
-                                    if (key != "outcomes") {
-                                        scanner.rawValue();
-                                        continue;
-                                    }
-                                    has_outcomes = true;
-                                    scanner.beginArray();
-                                    json::StreamWriter writer;
-                                    while (
-                                        scanner.nextElement()) {
-                                        json::ondemand::
-                                            reserializeValue(
-                                                scanner,
-                                                writer);
-                                        outcomes.push_back(
-                                            writer.take());
-                                    }
-                                }
-                                scanner.expectEnd();
-                                if (has_outcomes &&
-                                    outcomes.size() ==
-                                        chunk_size)
-                                    for (std::size_t j = 0;
-                                         j < outcomes.size();
-                                         ++j)
-                                        deliver(chunk, j,
-                                                std::move(
-                                                    outcomes
-                                                        [j]));
-                            } catch (const std::exception &) {
-                                // Unusable report: the
-                                // incomplete-delivery failure
-                                // path below handles it.
-                            }
-                        }
-                        if (exit_ok &&
-                            st.deliveredRequests ==
-                                chunk_size) {
-                            st.inFlight = false;
-                            st.done = true;
-                            ++free_slots[st.host];
-                            --host_progress[st.host]
-                                  .inFlightChunks;
-                            ++host_progress[st.host].doneChunks;
-                            ++completed;
-                            record_attempt(chunk, true,
-                                           *code == 0
-                                               ? "ok"
-                                               : "requests "
-                                                 "failed");
-                        } else if (exit_ok) {
-                            --host_progress[st.host]
-                                  .inFlightChunks;
-                            handle_failure(
-                                chunk,
-                                "exited " +
-                                    std::to_string(*code) +
-                                    " but delivered only " +
-                                    std::to_string(
-                                        st.deliveredRequests) +
-                                    " of " +
-                                    std::to_string(chunk_size) +
-                                    " outcomes");
-                        } else {
-                            --host_progress[st.host]
-                                  .inFlightChunks;
-                            handle_failure(
-                                chunk,
-                                "died with exit code " +
-                                    std::to_string(*code) +
-                                    " before completing its "
-                                    "chunk");
-                        }
-                        maybe_abort();
-                        emit_progress(false);
-                    } else if (options.shardTimeoutSeconds >
-                               0.0) {
-                        const double elapsed =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::
-                                    now() -
-                                st.started)
-                                .count();
-                        if (elapsed >
-                            options.shardTimeoutSeconds) {
-                            progressed = true;
-                            // Salvage whatever the straggler
-                            // already streamed before killing
-                            // it -- those outcomes are done and
-                            // journaled; the retry's duplicates
-                            // will be dropped.
-                            drain_events(chunk);
-                            transports[st.host]->cancel(chunk);
-                            --host_progress[st.host]
-                                  .inFlightChunks;
-                            handle_failure(
-                                chunk,
-                                "missed the " +
-                                    std::to_string(
-                                        options
-                                            .shardTimeoutSeconds) +
-                                    " s deadline (straggler "
-                                    "cancelled)");
-                            maybe_abort();
-                            emit_progress(false);
-                        }
-                    }
-                }
-
-                if (progressed) {
+            constexpr std::chrono::milliseconds max_idle_sleep{50};
+            maybeAbort(); // resumed failures may already trip it
+            while (!settled()) {
+                dispatchReady();
+                if (pollInFlight()) {
                     idle_sleep = std::chrono::milliseconds{1};
-                } else if (completed + abandoned <
-                           chunk_count) {
+                } else if (!settled()) {
                     std::this_thread::sleep_for(idle_sleep);
                     idle_sleep =
-                        std::min(idle_sleep * 2,
-                                 max_idle_sleep);
+                        std::min(idle_sleep * 2, max_idle_sleep);
                 }
             }
         } catch (...) {
-            cancel_in_flight();
+            cancelInFlight();
             throw;
         }
-
-        // An aborted run reports the requests it never ran as
-        // synthetic failures -- visible in the report, absent
-        // from the journal, so --resume can still finish them.
         if (aborted)
-            for (std::size_t index : merger.missingIndices()) {
-                json::StreamWriter writer;
-                writer.beginObject();
-                writer.key("request");
-                appendRequest(writer, batch.requests[index]);
-                writer.key("ok");
-                writer.boolean(false);
-                writer.key("error");
-                writer.string(
-                    "aborted: the early-abort policy stopped "
-                    "dispatching after " +
-                    std::to_string(
-                        options.abortAfterFailedRequests) +
-                    " failed request(s)");
-                writer.endObject();
-                merger.add(index, writer.take());
-            }
-
+            for (std::size_t index : merger.missingIndices())
+                merger.add(index,
+                           abortedOutcome(
+                               batch.requests[index],
+                               options.abortAfterFailedRequests));
         result.aborted = aborted;
         result.mergedReportText = merger.reportText(false);
         result.succeeded = merger.doneCount() - merger.failedCount();
         result.failed = merger.failedCount();
-        emit_progress(true); // final snapshot
-    } catch (...) {
-        if (temporary) {
-            std::error_code ec;
-            std::filesystem::remove_all(dir, ec);
-        }
-        throw;
+        emitProgress(true); // final snapshot
+        return std::move(result);
     }
 
-    if (temporary) {
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-        result.journalPath.clear();
+    bool settled() const { return completed + abandoned >= chunks.size(); }
+
+    /** Pull: every free slot takes the next queued chunk; a chunk
+     *  no host can take yet goes to the back of the queue. */
+    void dispatchReady()
+    {
+        for (std::size_t n = ready.size(); n > 0; --n) {
+            const std::size_t chunk = ready.front();
+            ready.pop_front();
+            const auto host = pickHost(chunks[chunk]);
+            if (!host) {
+                ready.push_back(chunk); // wait for a slot
+                continue;
+            }
+            start(chunk, *host);
+            emitProgress(false);
+        }
     }
+
+    /** The first host (manifest order) with a free slot that @p st
+     *  has not failed on; once it failed everywhere, any host will
+     *  do -- a one-host manifest must still be able to retry. */
+    std::optional<std::size_t> pickHost(const ChunkState &st) const
+    {
+        const bool failed_everywhere =
+            st.excludedHosts.size() >= freeSlots.size();
+        for (std::size_t h = 0; h < freeSlots.size(); ++h)
+            if (freeSlots[h] > 0 &&
+                (failed_everywhere || st.excludedHosts.count(h) == 0))
+                return h;
+        return std::nullopt;
+    }
+
+    void start(std::size_t chunk, std::size_t host)
+    {
+        ChunkState &st = chunks[chunk];
+        ShardDispatch dispatch;
+        dispatch.shard = chunk;
+        dispatch.attempt = st.attempts;
+        dispatch.host = options.hosts.hosts[host].name;
+        dispatch.subBatchPath = chunkFiles[chunk];
+        // Retries write to a fresh per-attempt path: a cancelled
+        // straggler whose worker outlives the kill (an orphan
+        // behind ssh or a shell wrapper) may still scribble on
+        // *its* files, and must never race the retry's output.
+        dispatch.reportPath = chunkFiles[chunk] + ".report";
+        if (st.attempts > 0)
+            dispatch.reportPath +=
+                ".retry" + std::to_string(st.attempts);
+        dispatch.eventsPath = eventsPathFor(dispatch.reportPath);
+        dispatch.engineThreads = result.threadsPerWorker;
+        dispatch.scenariosPath = options.scenariosPath;
+        dispatch.workerExe = options.workerExe;
+
+        // Stale outputs (previous run, reused shard_dir) must
+        // never merge as this dispatch's.
+        std::error_code ec;
+        std::filesystem::remove(dispatch.reportPath, ec);
+        std::filesystem::remove(dispatch.eventsPath, ec);
+
+        // In flight only once start() returned: a dispatch that
+        // never started holds no slot and has nothing to cancel.
+        const auto started = SteadyClock::now();
+        transports[host]->start(dispatch);
+        ++st.attempts;
+        st.host = host;
+        st.started = started;
+        st.events.reset(dispatch.eventsPath);
+        st.live = std::move(dispatch);
+        --freeSlots[host];
+        ++hostProgress[host].inFlightChunks;
+    }
+
+    /** Drain, then reap or expire, each in-flight chunk in chunk
+     *  order; true when anything happened. */
+    bool pollInFlight()
+    {
+        bool progressed = false;
+        for (std::size_t chunk = 0; chunk < chunks.size(); ++chunk) {
+            const ChunkState &st = chunks[chunk];
+            if (!st.live)
+                continue;
+            if (drain(chunk))
+                progressed = true;
+            if (const auto code = transports[st.host]->poll(chunk))
+                reap(chunk, *code);
+            else if (overdue(st))
+                expire(chunk);
+            else
+                continue;
+            progressed = true;
+            maybeAbort();
+            emitProgress(false);
+        }
+        return progressed;
+    }
+
+    bool overdue(const ChunkState &st) const
+    {
+        return options.shardTimeoutSeconds > 0.0 &&
+               std::chrono::duration<double>(SteadyClock::now() -
+                                             st.started)
+                       .count() > options.shardTimeoutSeconds;
+    }
+
+    /** Deliver the new complete event lines of @p chunk's live
+     *  dispatch; true when any arrived. */
+    bool drain(std::size_t chunk)
+    {
+        NdjsonTailReader &events = chunks[chunk].events;
+        bool any = false;
+        for (const auto &line : events.poll()) {
+            // splitEventLine's scan validates the whole line; a
+            // parse error must still name the events file.
+            JournalEntryText entry;
+            try {
+                entry = splitEventLine(line, events.path());
+            } catch (const std::exception &e) {
+                throw ConfigError(events.path() +
+                                  ": malformed worker event line: " +
+                                  e.what());
+            }
+            deliver(chunk, entry.index, std::move(entry.outcome));
+            any = true;
+        }
+        return any;
+    }
+
+    /** First delivery of a chunk-local outcome: journal, merge,
+     *  count. A duplicate (a retry re-streaming what a failed
+     *  attempt delivered) is dropped: results are deterministic. */
+    void deliver(std::size_t chunk, std::size_t local,
+                 std::string outcome_text)
+    {
+        const auto &indices = plan.chunks[chunk];
+        requireConfig(local < indices.size(),
+                      "chunk #" + std::to_string(chunk) +
+                          " delivered an event for index " +
+                          std::to_string(local) +
+                          " but holds only " +
+                          std::to_string(indices.size()) +
+                          " requests");
+        const std::size_t original = indices[local];
+        if (merger.filled(original))
+            return;
+        journal.append(original, std::string_view(outcome_text));
+        merger.add(original, std::move(outcome_text));
+        ChunkState &st = chunks[chunk];
+        ++st.deliveredRequests;
+        ++hostProgress[st.host].doneRequests;
+        ++freshDelivered;
+    }
+
+    /** @p chunk's dispatch exited with @p code: take its final
+     *  event lines, fall back to its report file when the stream
+     *  came up short, then finish the chunk or retry it. */
+    void reap(std::size_t chunk, int code)
+    {
+        drain(chunk); // final lines
+        ChunkState &st = chunks[chunk];
+        const std::size_t size = plan.chunks[chunk].size();
+        const bool exit_ok = code == 0 || code == 1;
+        if (exit_ok && st.deliveredRequests < size) {
+            // A worker that streams no events (a custom command
+            // template) still merges, from its report file.
+            auto outcomes = readReportOutcomes(st.live->reportPath);
+            if (outcomes.size() == size)
+                for (std::size_t j = 0; j < size; ++j)
+                    deliver(chunk, j, std::move(outcomes[j]));
+        }
+        if (!exit_ok) {
+            retry(chunk, "died with exit code " +
+                             std::to_string(code) +
+                             " before completing its chunk");
+        } else if (st.deliveredRequests < size) {
+            retry(chunk, "exited " + std::to_string(code) +
+                             " but delivered only " +
+                             std::to_string(st.deliveredRequests) +
+                             " of " + std::to_string(size) +
+                             " outcomes");
+        } else {
+            recordAttempt(chunk, true,
+                          code == 0 ? "ok" : "requests failed");
+            ++hostProgress[st.host].doneChunks;
+            ++completed;
+            release(chunk);
+        }
+    }
+
+    /** @p chunk's dispatch missed the deadline: keep what the
+     *  straggler already streamed (journaled; the retry's
+     *  duplicates are dropped), cancel it, and retry. */
+    void expire(std::size_t chunk)
+    {
+        drain(chunk);
+        transports[chunks[chunk].host]->cancel(chunk);
+        retry(chunk, "missed the " +
+                         std::to_string(options.shardTimeoutSeconds) +
+                         " s deadline (straggler cancelled)");
+    }
+
+    /** @p chunk's dispatch failed: record it, release the chunk
+     *  and re-queue it away from this host -- unless the run is
+     *  aborting (abandon it) or it has no retries left (throw). */
+    void retry(std::size_t chunk, const std::string &reason)
+    {
+        recordAttempt(chunk, false, reason);
+        release(chunk);
+        ChunkState &st = chunks[chunk];
+        if (aborted) {
+            // Spending retries on a doomed merge helps nobody.
+            ++abandoned;
+            return;
+        }
+        if (static_cast<int>(st.attempts) > options.retries) {
+            std::string history;
+            for (const auto &attempt : result.attempts)
+                if (attempt.shard == chunk)
+                    history += "\n  attempt #" +
+                               std::to_string(attempt.attempt) +
+                               " on host '" + attempt.host +
+                               "': " + attempt.reason;
+            throw Error("chunk #" + std::to_string(chunk) + " (" +
+                        chunkFiles[chunk] +
+                        ") has no retries left after " +
+                        std::to_string(st.attempts) +
+                        " attempt(s); dispatch history:" + history);
+        }
+        st.excludedHosts.insert(st.host);
+        ++result.redispatches;
+        ready.push_back(chunk);
+    }
+
+    /** Take @p chunk out of flight: the one place a slot frees
+     *  and a host's in-flight count drops. */
+    void release(std::size_t chunk)
+    {
+        ChunkState &st = chunks[chunk];
+        st.live.reset();
+        ++freeSlots[st.host];
+        --hostProgress[st.host].inFlightChunks;
+    }
+
+    void recordAttempt(std::size_t chunk, bool ok,
+                       const std::string &reason)
+    {
+        const ShardDispatch &live = *chunks[chunk].live;
+        result.attempts.push_back(
+            {chunk, live.attempt, live.host, ok, reason});
+    }
+
+    /** Early abort once the failure threshold is met: stop
+     *  feeding the queue. Undispatched chunks are abandoned;
+     *  in-flight ones drain. */
+    void maybeAbort()
+    {
+        if (aborted || options.abortAfterFailedRequests == 0 ||
+            merger.failedCount() < options.abortAfterFailedRequests)
+            return;
+        aborted = true;
+        abandoned += ready.size();
+        ready.clear();
+    }
+
+    void cancelInFlight()
+    {
+        for (std::size_t chunk = 0; chunk < chunks.size(); ++chunk)
+            if (chunks[chunk].live)
+                try {
+                    transports[chunks[chunk].host]->cancel(chunk);
+                } catch (...) {
+                    // Best effort; keep the original error.
+                }
+    }
+
+    /** A progress snapshot, throttled to ~20 Hz unless @p force. */
+    void emitProgress(bool force)
+    {
+        if (!options.onProgress)
+            return;
+        const auto now = SteadyClock::now();
+        const std::chrono::duration<double> since = now - lastEmit;
+        if (!force && since.count() < 0.05)
+            return;
+        lastEmit = now;
+        CoordinatorProgress snapshot;
+        snapshot.hosts = hostProgress;
+        snapshot.chunksTotal = chunks.size();
+        snapshot.chunksDone = completed;
+        for (const auto &st : chunks)
+            if (st.live)
+                ++snapshot.chunksInFlight;
+        snapshot.requestsTotal = batch.requests.size();
+        snapshot.requestsDone = merger.doneCount();
+        snapshot.requestsFailed = merger.failedCount();
+        snapshot.resumedOutcomes = result.resumedOutcomes;
+        snapshot.elapsedSeconds =
+            std::chrono::duration<double>(now - runStart).count();
+        snapshot.requestsPerSecond =
+            snapshot.elapsedSeconds > 0.0
+                ? static_cast<double>(freshDelivered) /
+                      snapshot.elapsedSeconds
+                : 0.0;
+        snapshot.aborted = aborted;
+        options.onProgress(snapshot);
+    }
+};
+
+} // namespace
+
+CoordinatedRunResult
+runDynamicCoordinatedBatch(const CoordinatorOptions &options)
+{
+    validateOptions(options);
+    const BatchFile batch = loadBatchFile(options.batchPath);
+    std::vector<std::shared_ptr<ShardTransport>> transports;
+    for (const auto &host : options.hosts.hosts) {
+        if (options.transportFactory)
+            transports.push_back(options.transportFactory(host));
+        else if (host.isLocal())
+            transports.push_back(
+                std::make_shared<LocalProcessTransport>());
+        else
+            transports.push_back(
+                std::make_shared<CommandTransport>(host));
+    }
+    const ScratchDir scratch(options.shardDir);
+    CoordinatedRunResult result =
+        CoordinatorRun(options, batch, std::move(transports),
+                       scratch.path)
+            .run();
+    if (scratch.temporary)
+        result.journalPath.clear();
     return result;
 }
 

@@ -40,6 +40,8 @@
 #include "json/ondemand.h"
 #include "support/error.h"
 
+#include "fault_transport.h"
+
 #ifndef ECOCHIP_DATA_DIR
 #define ECOCHIP_DATA_DIR ""
 #endif
@@ -1303,15 +1305,16 @@ enum class MatrixFault
     HangThenCancel,
     KillMidStream,
     UnevenSpeed,
+    ReportOnly,
 };
 
 TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
 {
     // The acceptance gate: {1,2,4} hosts x {fail-once,
-    // hang-then-cancel, kill-mid-stream, uneven-speed} x
-    // {fresh, resume-from-journal} -- every cell's dynamically
-    // merged report is byte-identical to the single-process
-    // batch run.
+    // hang-then-cancel, kill-mid-stream, uneven-speed,
+    // report-only} x {fresh, resume-from-journal} -- every
+    // cell's dynamically merged report is byte-identical to the
+    // single-process batch run.
     const BatchFile batch = loadBatchFile(shippedBatchPath());
     std::string single;
     std::vector<std::string> journal_lines;
@@ -1336,7 +1339,7 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
         for (MatrixFault fault :
              {MatrixFault::FailOnce, MatrixFault::HangThenCancel,
               MatrixFault::KillMidStream,
-              MatrixFault::UnevenSpeed}) {
+              MatrixFault::UnevenSpeed, MatrixFault::ReportOnly}) {
             for (bool resume : {false, true}) {
                 std::filesystem::remove_all(dir);
                 std::filesystem::create_directories(dir);
@@ -1384,6 +1387,19 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
                                 transport->setSpeed(0.01,
                                                     0.005);
                                 break;
+                            case MatrixFault::ReportOnly: {
+                                // Every chunk host 0 runs streams
+                                // no events: it must merge from
+                                // its report file.
+                                TransportFault report_only;
+                                report_only.kind = TransportFault::
+                                    Kind::ReportOnly;
+                                for (std::size_t c = 0;
+                                     c < batch.requests.size(); ++c)
+                                    transport->injectFault(
+                                        c, report_only);
+                                break;
+                            }
                             }
                         }
                         transports.push_back(transport);
@@ -1405,6 +1421,9 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
                           resume ? 5u : 0u)
                     << cell;
                 EXPECT_EQ(prettyReport(result), single) << cell;
+                if (fault == MatrixFault::ReportOnly) {
+                    EXPECT_EQ(result.redispatches, 0u) << cell;
+                }
                 // The journal now holds every outcome, so a
                 // second resume dispatches nothing at all.
                 CoordinatorOptions replay = options;
@@ -1431,6 +1450,117 @@ TEST(DynamicCoordinator, FaultMatrixMergesByteIdentical)
         }
     }
     std::filesystem::remove_all(dir);
+}
+
+TEST(DynamicCoordinator, TruncatedReportIsRetried)
+{
+    // A worker that streams no events and leaves a truncated
+    // report delivers nothing: its exit 0 is an incomplete
+    // dispatch that costs one retry, and the retry merges to the
+    // single-process bytes.
+    const BatchFile batch = loadBatchFile(shippedBatchPath());
+    const std::string single = singleProcessReport(batch.requests);
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "ecochip_truncated_report";
+    std::filesystem::remove_all(dir);
+
+    auto transport = std::make_shared<TestTransport>();
+    TransportFault truncated;
+    truncated.kind = TransportFault::Kind::ReportOnly;
+    truncated.reportBytes = 100;
+    transport->injectFault(0, truncated);
+    CoordinatorOptions options = testTransportOptions(
+        shippedBatchPath(), 1, transport);
+    options.shardDir = dir.string();
+    options.chunkTargetRequests = 4;
+    options.retries = 1;
+
+    const CoordinatedRunResult result =
+        runDynamicCoordinatedBatch(options);
+    EXPECT_TRUE(result.allOk());
+    EXPECT_EQ(result.redispatches, 1u);
+    EXPECT_EQ(prettyReport(result), single);
+
+    ASSERT_FALSE(transport->history().empty());
+    const std::size_t chunk0_size =
+        loadBatchFile(transport->history()[0].subBatchPath)
+            .requests.size();
+    std::vector<std::string> chunk0_reasons;
+    for (const auto &attempt : result.attempts)
+        if (attempt.shard == 0)
+            chunk0_reasons.push_back(attempt.reason);
+    ASSERT_EQ(chunk0_reasons.size(), 2u);
+    EXPECT_EQ(chunk0_reasons[0],
+              "exited 0 but delivered only 0 of " +
+                  std::to_string(chunk0_size) + " outcomes");
+    EXPECT_EQ(chunk0_reasons[1], "ok");
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A transport whose nth start() throws; every other dispatch
+ * hangs until cancelled. It records each cancel() and counts
+ * those that named no live dispatch.
+ */
+class FailingStartTransport : public ShardTransport
+{
+  public:
+    explicit FailingStartTransport(std::size_t failing_start)
+        : failingStart_(failing_start)
+    {
+    }
+
+    void start(const ShardDispatch &dispatch) override
+    {
+        if (++starts_ == failingStart_)
+            throw ConfigError("start #" + std::to_string(starts_) +
+                              " refused");
+        live_.insert(dispatch.shard);
+    }
+    std::optional<int> poll(std::size_t) override
+    {
+        return std::nullopt;
+    }
+    void cancel(std::size_t shard) override
+    {
+        cancels.push_back(shard);
+        if (live_.erase(shard) == 0)
+            ++deadCancels;
+    }
+    std::string name() const override { return "failing-start"; }
+
+    std::vector<std::size_t> cancels;
+    std::size_t deadCancels = 0;
+
+  private:
+    std::size_t failingStart_;
+    std::size_t starts_ = 0;
+    std::set<std::size_t> live_;
+};
+
+TEST(DynamicCoordinator, FailedStartIsNeverCancelled)
+{
+    // The second start() throws while chunk 0 runs: the original
+    // error reaches the caller, the live dispatch is cancelled,
+    // and the one that never started is not.
+    auto transport = std::make_shared<FailingStartTransport>(2);
+    CoordinatorOptions options;
+    options.batchPath = shippedBatchPath();
+    options.hosts = localHosts(2);
+    options.chunkTargetRequests = 4;
+    options.transportFactory = [transport](const HostSpec &) {
+        return transport;
+    };
+    try {
+        runDynamicCoordinatedBatch(options);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("start #2 refused"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(transport->cancels, std::vector<std::size_t>{0});
+    EXPECT_EQ(transport->deadCancels, 0u);
 }
 
 TEST(DynamicCoordinator, ResumeNeverRerunsJournaledRequests)
@@ -1718,40 +1848,59 @@ TEST(DynamicCoordinator, EarlyAbortCancelsUndispatchedChunks)
 TEST(DynamicCoordinator, ProgressReportsPerHostCounters)
 {
     // The --progress consumer: the final snapshot accounts for
-    // every request and chunk, per host, with a sane rate.
-    auto transport = std::make_shared<TestTransport>();
-    CoordinatorOptions options = testTransportOptions(
-        shippedBatchPath(), 2, transport);
-    options.chunkTargetRequests = 3;
-    std::vector<CoordinatorProgress> snapshots;
-    options.onProgress =
-        [&](const CoordinatorProgress &progress) {
-            snapshots.push_back(progress);
-        };
+    // every request and chunk, per host, with a sane rate --
+    // healthy, and with chunk 0's first dispatch failing,
+    // hanging past the deadline, or killed mid-stream.
+    for (const std::string fault :
+         {"healthy", "fail-once", "hang", "kill-mid-stream"}) {
+        auto transport = std::make_shared<TestTransport>();
+        CoordinatorOptions options = testTransportOptions(
+            shippedBatchPath(), 2, transport);
+        options.chunkTargetRequests = 3;
+        if (fault == "fail-once")
+            transport->injectFailures(0, 1);
+        if (fault == "hang") {
+            transport->injectHangs(0, 1);
+            options.shardTimeoutSeconds = 0.2;
+        }
+        if (fault == "kill-mid-stream") {
+            TransportFault kill;
+            kill.kind = TransportFault::Kind::KillMidStream;
+            kill.eventLines = 1;
+            transport->injectFault(0, kill);
+        }
+        std::vector<CoordinatorProgress> snapshots;
+        options.onProgress =
+            [&](const CoordinatorProgress &progress) {
+                snapshots.push_back(progress);
+            };
 
-    const CoordinatedRunResult result =
-        runDynamicCoordinatedBatch(options);
-    EXPECT_TRUE(result.allOk());
-    ASSERT_FALSE(snapshots.empty());
-    const CoordinatorProgress &last = snapshots.back();
-    EXPECT_EQ(last.requestsTotal, 13u);
-    EXPECT_EQ(last.requestsDone, 13u);
-    EXPECT_EQ(last.requestsFailed, 0u);
-    EXPECT_EQ(last.chunksTotal, result.chunksPlanned);
-    EXPECT_EQ(last.chunksDone, result.chunksPlanned);
-    EXPECT_EQ(last.chunksInFlight, 0u);
-    EXPECT_FALSE(last.aborted);
-    EXPECT_GE(last.requestsPerSecond, 0.0);
-    ASSERT_EQ(last.hosts.size(), 2u);
-    std::size_t chunks_by_host = 0;
-    std::size_t requests_by_host = 0;
-    for (const auto &host : last.hosts) {
-        EXPECT_EQ(host.inFlightChunks, 0u);
-        chunks_by_host += host.doneChunks;
-        requests_by_host += host.doneRequests;
+        const CoordinatedRunResult result =
+            runDynamicCoordinatedBatch(options);
+        EXPECT_TRUE(result.allOk()) << fault;
+        EXPECT_EQ(result.redispatches, fault == "healthy" ? 0u : 1u)
+            << fault;
+        ASSERT_FALSE(snapshots.empty()) << fault;
+        const CoordinatorProgress &last = snapshots.back();
+        EXPECT_EQ(last.requestsTotal, 13u) << fault;
+        EXPECT_EQ(last.requestsDone, 13u) << fault;
+        EXPECT_EQ(last.requestsFailed, 0u) << fault;
+        EXPECT_EQ(last.chunksTotal, result.chunksPlanned) << fault;
+        EXPECT_EQ(last.chunksDone, result.chunksPlanned) << fault;
+        EXPECT_EQ(last.chunksInFlight, 0u) << fault;
+        EXPECT_FALSE(last.aborted) << fault;
+        EXPECT_GE(last.requestsPerSecond, 0.0) << fault;
+        ASSERT_EQ(last.hosts.size(), 2u) << fault;
+        std::size_t chunks_by_host = 0;
+        std::size_t requests_by_host = 0;
+        for (const auto &host : last.hosts) {
+            EXPECT_EQ(host.inFlightChunks, 0u) << fault;
+            chunks_by_host += host.doneChunks;
+            requests_by_host += host.doneRequests;
+        }
+        EXPECT_EQ(chunks_by_host, result.chunksPlanned) << fault;
+        EXPECT_EQ(requests_by_host, 13u) << fault;
     }
-    EXPECT_EQ(chunks_by_host, result.chunksPlanned);
-    EXPECT_EQ(requests_by_host, 13u);
 }
 
 // ------------------------------------------------ thread pool
