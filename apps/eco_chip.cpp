@@ -120,7 +120,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -623,6 +625,28 @@ printCost(const AnalysisResult &cost)
 }
 
 /**
+ * Write a markdown report through @p body, checked like the JSON
+ * writers: a failed write (disk full, `RLIMIT_FSIZE`) removes the
+ * partial file and throws a ConfigError naming the path.
+ */
+void
+writeMarkdownFile(const std::string &path,
+                  const std::function<void(std::ostream &)> &body)
+{
+    std::ofstream out(path);
+    requireConfig(static_cast<bool>(out),
+                  "cannot write markdown report: " + path);
+    body(out);
+    out.close();
+    if (!out) {
+        std::remove(path.c_str()); // never leave half a file
+        throw ConfigError("failed writing markdown report: " +
+                          path);
+    }
+    std::cout << "markdown report written to " << path << "\n";
+}
+
+/**
  * Run a request batch on the engine. Default: one status line
  * per request (request order) plus a summary. With --stream:
  * stdout carries exactly one NDJSON line per request, in
@@ -696,25 +720,20 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
             << "results written to " << *opts.jsonPath << "\n";
     }
 
-    if (opts.markdownPath) {
-        std::ofstream out(*opts.markdownPath);
-        requireConfig(static_cast<bool>(out),
-                      "cannot write markdown report: " +
-                          *opts.markdownPath);
-        for (const auto &outcome : report.outcomes) {
-            if (outcome.ok())
-                writeResultMarkdown(out, *outcome.result);
-            else
-                out << "# ECO-CHIP "
-                    << toString(outcome.request.kind())
-                    << ": FAILED\n\n- "
-                    << outcome.request.scenario.label()
-                    << ": " << outcome.error << "\n";
-            out << "\n";
-        }
-        std::cout << "markdown report written to "
-                  << *opts.markdownPath << "\n";
-    }
+    if (opts.markdownPath)
+        writeMarkdownFile(*opts.markdownPath, [&](std::ostream &out) {
+            for (const auto &outcome : report.outcomes) {
+                if (outcome.ok())
+                    writeResultMarkdown(out, *outcome.result);
+                else
+                    out << "# ECO-CHIP "
+                        << toString(outcome.request.kind())
+                        << ": FAILED\n\n- "
+                        << outcome.request.scenario.label()
+                        << ": " << outcome.error << "\n";
+                out << "\n";
+            }
+        });
 
     return report.allOk() ? 0 : 1;
 }
@@ -1168,18 +1187,13 @@ run(int argc, char **argv)
                   << "\n";
     }
 
-    if (opts.markdownPath) {
-        std::ofstream out(*opts.markdownPath);
-        requireConfig(static_cast<bool>(out),
-                      "cannot write markdown report: " +
-                          *opts.markdownPath);
-        for (const auto &result : results) {
-            writeResultMarkdown(out, result);
-            out << "\n";
-        }
-        std::cout << "markdown report written to "
-                  << *opts.markdownPath << "\n";
-    }
+    if (opts.markdownPath)
+        writeMarkdownFile(*opts.markdownPath, [&](std::ostream &out) {
+            for (const auto &result : results) {
+                writeResultMarkdown(out, result);
+                out << "\n";
+            }
+        });
     return 0;
 }
 

@@ -10,6 +10,7 @@
  *   ./build/batch_engine
  */
 
+#include <future>
 #include <iostream>
 
 #include "engine/analysis_engine.h"
@@ -80,12 +81,18 @@ main()
               << engine.contextCount()
               << " deduplicated evaluation contexts\n";
 
-    // 3. Futures, for streaming consumers: submit() returns
-    //    immediately; .get() waits for that one request.
-    auto future = engine.submit(
-        {ScenarioRef::scenario("a15"), EstimateSpec{}});
+    // 3. Callbacks, for event-driven consumers: submit() returns
+    //    immediately and hands the outcome to a callback on the
+    //    worker that finished it (the path --serve answers
+    //    through). Here a promise carries it back to main.
+    std::promise<RequestOutcome> a15;
+    std::future<RequestOutcome> a15_done = a15.get_future();
+    engine.submit({ScenarioRef::scenario("a15"), EstimateSpec{}},
+                  [&a15](RequestOutcome outcome) {
+                      a15.set_value(std::move(outcome));
+                  });
     std::cout << "a15 total: "
-              << future.get().report->totalCo2Kg()
+              << a15_done.get().result->report->totalCo2Kg()
               << " kg CO2\n";
 
     // The demo intentionally included one failing request; the

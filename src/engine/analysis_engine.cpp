@@ -123,21 +123,29 @@ AnalysisEngine::sessionFor(const ScenarioRef &ref)
     throw Error(built.error);
 }
 
-std::future<AnalysisResult>
-AnalysisEngine::submit(AnalysisRequest request)
+void
+AnalysisEngine::submit(
+    AnalysisRequest request,
+    std::function<void(RequestOutcome)> on_done)
 {
-    auto task = std::make_shared<
-        std::packaged_task<AnalysisResult()>>(
-        [this, request = std::move(request)] {
+    pool_.post([this, request = std::move(request),
+                on_done = std::move(on_done)]() mutable {
+        RequestOutcome outcome;
+        outcome.request = std::move(request);
+        try {
             // Binding resolution happens inside the task so a bad
-            // scenario name fails *its* future, not the caller.
+            // scenario name fails *its* outcome, not the caller.
             const AnalysisSession session =
-                sessionFor(request.scenario);
-            return runSpec(session, request.spec);
-        });
-    std::future<AnalysisResult> future = task->get_future();
-    pool_.post([task] { (*task)(); });
-    return future;
+                sessionFor(outcome.request.scenario);
+            outcome.result =
+                runSpec(session, outcome.request.spec);
+        } catch (const std::exception &e) {
+            outcome.error = e.what();
+        } catch (...) {
+            outcome.error = "unknown error";
+        }
+        on_done(std::move(outcome));
+    });
 }
 
 void
@@ -162,19 +170,8 @@ AnalysisEngine::runStream(
     state->remaining = requests.size();
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        pool_.post([this, state, &on_complete, i,
-                    request = requests[i]] {
-            RequestOutcome outcome;
-            outcome.request = request;
-            try {
-                const AnalysisSession session =
-                    sessionFor(request.scenario);
-                outcome.result = runSpec(session, request.spec);
-            } catch (const std::exception &e) {
-                outcome.error = e.what();
-            } catch (...) {
-                outcome.error = "unknown error";
-            }
+        submit(requests[i], [state, &on_complete,
+                             i](RequestOutcome outcome) {
             // Deliver under the state lock: events are serialized
             // and the decrement happens only after the callback
             // returned, so runStream cannot unblock mid-delivery.
@@ -184,7 +181,8 @@ AnalysisEngine::runStream(
             } catch (...) {
                 // Pool tasks must not throw: runStream rethrows.
                 if (!state->callbackError)
-                    state->callbackError = std::current_exception();
+                    state->callbackError =
+                        std::current_exception();
             }
             if (--state->remaining == 0)
                 state->drained.notify_all();

@@ -11,14 +11,14 @@
  * against nine scenarios build nine contexts and share their
  * memoized evaluation caches.
  *
- * Three execution shapes, all over the same scheduler:
+ * Three execution shapes over one per-request task body:
  *
- *  - `submit()` hands back one `std::future<AnalysisResult>` per
- *    request;
- *  - `runStream()` delivers every `(index, RequestOutcome)` to a
- *    callback in completion order as workers finish -- the
- *    incremental-progress path behind `eco_chip --batch --stream`
- *    and its NDJSON output;
+ *  - `submit()` hands one request's `RequestOutcome` to a
+ *    callback on the worker that finished it (`--serve`);
+ *  - `runStream()` submits a batch and delivers every `(index,
+ *    RequestOutcome)` to a serialized callback in completion
+ *    order -- the incremental-progress path behind `eco_chip
+ *    --batch --stream` and its NDJSON output;
  *  - `runBatch()` waits for the whole batch and returns the
  *    outcomes in request order. It is implemented on top of
  *    `runStream`, so the aggregate and streaming paths can never
@@ -44,8 +44,7 @@
  *
  * @code
  *   AnalysisEngine engine(EngineOptions{.threads = 8});
- *   auto future = engine.submit(
- *       {ScenarioRef::scenario("ga102"), MonteCarloSpec{}});
+ *   engine.submit(request, [](RequestOutcome o) { ... });
  *   engine.runStream(requests, [](std::size_t i,
  *                                 const RequestOutcome &o) {
  *       std::cout << streamEventLine(i, o) << "\n";  // NDJSON
@@ -166,18 +165,18 @@ class AnalysisEngine
     }
 
     /**
-     * Schedule one request on the pool.
-     *
-     * The future carries the result -- or the request's exception
-     * (`ConfigError` and friends propagate per request, exactly
-     * as the session verbs throw them).
+     * Schedule one request: a worker runs `sessionFor`, then
+     * `runSpec`, and calls @p on_done once with the result or the
+     * request's error text. @p on_done runs on that worker; it
+     * must not throw or block on this engine.
      */
-    std::future<AnalysisResult> submit(AnalysisRequest request);
+    void submit(AnalysisRequest request,
+                std::function<void(RequestOutcome)> on_done);
 
     /**
      * Run a whole batch, streaming each outcome as it completes.
      *
-     * Requests are scheduled across the pool; @p on_complete is
+     * Every request is `submit`ted; @p on_complete is
      * invoked once per request, in completion order (which is
      * scheduling-dependent -- the `index` argument maps an event
      * back to its request). Every request is delivered exactly

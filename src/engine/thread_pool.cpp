@@ -51,7 +51,7 @@ ThreadPool::workerLoop()
                 return stopping_ || !queue_.empty();
             });
             // Drain-before-stop: pending tasks still run so their
-            // futures are fulfilled.
+            // completion callbacks fire.
             if (queue_.empty())
                 return;
             task = std::move(queue_.front());

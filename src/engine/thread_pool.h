@@ -4,8 +4,8 @@
  *
  * Deliberately minimal: a locked FIFO of type-erased tasks drained
  * by N `std::thread` workers. Destruction drains the queue first
- * (every posted task runs), so futures handed out against posted
- * work are always fulfilled.
+ * (every posted task runs), so every request submitted to the
+ * engine still reports its outcome.
  */
 
 #ifndef ECOCHIP_ENGINE_THREAD_POOL_H
@@ -46,8 +46,7 @@ class ThreadPool
 
     /**
      * Enqueue a task. Tasks run in FIFO order across the pool;
-     * a task must not throw (wrap work in a packaged_task or
-     * catch internally).
+     * a task must not throw (catch internally).
      */
     void post(std::function<void()> task);
 

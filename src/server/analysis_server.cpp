@@ -1,12 +1,13 @@
 #include "server/analysis_server.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -87,6 +88,17 @@ namespace {
 
 /** Wake-pipe write end the signal handlers poke; see run(). */
 std::atomic<int> g_signal_wake_fd{-1};
+
+/** Wake byte of a finished request; any other byte means stop. */
+constexpr char kCompletionByte = 'J';
+
+/**
+ * Longest request line a connection may send (1 MiB): far above
+ * any real request, and a bound on what one client can make the
+ * daemon buffer. A longer line is answered with one error event
+ * and the connection is closed.
+ */
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 extern "C" void
 ecochipServerSignalHandler(int)
@@ -179,22 +191,32 @@ struct AnalysisServer::Impl
          *  response event, control verbs excluded). */
         std::size_t nextIndex = 0;
 
+        /** Requests submitted to the engine, not yet answered. */
+        std::size_t pending = 0;
+
         /** Peer closed its write side; serve what was read. */
         bool eof = false;
     };
     std::map<int, Connection> conns;
     std::uint64_t nextConnId = 1;
 
-    struct PendingJob
+    /** One answered request, serialized by its engine worker. */
+    struct Completion
     {
         int fd = -1;
         std::uint64_t connId = 0;
         std::size_t index = 0;
         std::string requestEchoText;
         std::string cacheKey;
-        std::future<AnalysisResult> future;
+        bool ok = false;
+        /** Result JSON when ok, else the error message. */
+        std::string payload;
     };
-    std::vector<PendingJob> jobs;
+    std::mutex completionsMutex;
+    std::vector<Completion> completions; // completion order
+
+    /** Undelivered requests of every connection, gone or not. */
+    std::size_t inFlight = 0;
 
     ServerStats stats;
     std::atomic<bool> stopRequested{false};
@@ -206,18 +228,11 @@ struct AnalysisServer::Impl
         conns.erase(fd);
     }
 
-    /** True when @p conn still has a response on the way. */
-    bool hasPendingJob(int fd, std::uint64_t id) const
-    {
-        for (const auto &job : jobs)
-            if (job.fd == fd && job.connId == id)
-                return true;
-        return false;
-    }
-
+    void readLines(int fd, Connection &conn);
     void handleLine(int fd, Connection &conn,
                     const std::string &line);
-    void completeFinishedJobs();
+    void finish(Completion job, RequestOutcome outcome);
+    void onWake();
     void flushConnection(int fd, Connection &conn);
 };
 
@@ -322,16 +337,19 @@ AnalysisServer::~AnalysisServer()
 {
     if (!impl_)
         return;
+    // Drain the pool first: its completion callbacks touch the
+    // wake pipe and the completion vector, so the workers must be
+    // gone before either is closed or destroyed -- even when
+    // run() threw with requests in flight.
+    impl_->engine.reset();
     if (impl_->options.installSignalHandlers)
         g_signal_wake_fd.store(-1);
     for (const auto &[fd, conn] : impl_->conns)
         close(fd);
-    if (impl_->listenFd >= 0)
-        close(impl_->listenFd);
-    if (impl_->wakeRead >= 0)
-        close(impl_->wakeRead);
-    if (impl_->wakeWrite >= 0)
-        close(impl_->wakeWrite);
+    for (const int fd :
+         {impl_->listenFd, impl_->wakeRead, impl_->wakeWrite})
+        if (fd >= 0)
+            close(fd);
     if (impl_->boundSocket) {
         std::error_code ec;
         std::filesystem::remove(impl_->options.socketPath, ec);
@@ -388,38 +406,31 @@ AnalysisServer::Impl::handleLine(int fd, Connection &conn,
 
     // Control verbs: answered inline, no request index consumed.
     if (doc.isObject() && doc.contains("control")) {
-        std::string verb;
-        try {
-            verb = doc.at("control").asString();
-        } catch (const std::exception &) {
-            verb = "";
-        }
+        const json::Value &control = doc.at("control");
+        const std::string verb =
+            control.isString() ? control.asString() : "";
         json::Value reply = json::Value::makeObject();
         reply.set("control", verb);
         if (verb == "stats") {
-            reply.set("served",
-                      static_cast<double>(stats.served));
-            reply.set("failed",
-                      static_cast<double>(stats.failed));
-            reply.set("malformed",
-                      static_cast<double>(stats.malformed));
-            reply.set("connections",
-                      static_cast<double>(stats.connections));
-            reply.set("contexts",
-                      static_cast<double>(
-                          engine->contextCount()));
-            reply.set("cache_enabled",
-                      static_cast<bool>(cache));
-            const ResultCacheStats cache_stats =
+            using Counters = std::initializer_list<
+                std::pair<const char *, std::uint64_t>>;
+            const ResultCacheStats cached =
                 cache ? cache->stats() : ResultCacheStats{};
-            reply.set("hits",
-                      static_cast<double>(cache_stats.hits));
-            reply.set("misses",
-                      static_cast<double>(cache_stats.misses));
-            reply.set("evictions", static_cast<double>(
-                                       cache_stats.evictions));
-            reply.set("entries",
-                      static_cast<double>(cache_stats.entries));
+            for (const auto &[name, value] : Counters{
+                     {"served", stats.served},
+                     {"failed", stats.failed},
+                     {"malformed", stats.malformed},
+                     {"connections", stats.connections},
+                     {"contexts", engine->contextCount()}})
+                reply.set(name, static_cast<double>(value));
+            reply.set("cache_enabled", static_cast<bool>(cache));
+            for (const auto &[name, value] : Counters{
+                     {"hits", cached.hits},
+                     {"misses", cached.misses},
+                     {"evictions", cached.evictions},
+                     {"entries", cached.entries},
+                     {"store_failures", cached.storeFailures}})
+                reply.set(name, static_cast<double>(value));
         } else if (verb == "shutdown") {
             reply.set("draining", true);
             stopRequested.store(true);
@@ -458,60 +469,132 @@ AnalysisServer::Impl::handleLine(int fd, Connection &conn,
         }
     }
 
-    PendingJob job;
-    job.fd = fd;
-    job.connId = conn.id;
-    job.index = index;
-    job.requestEchoText = echo;
-    job.cacheKey = std::move(key);
-    job.future = engine->submit(std::move(request));
-    jobs.push_back(std::move(job));
+    ++conn.pending;
+    ++inFlight;
+    engine->submit(
+        std::move(request),
+        [this, job = Completion{fd, conn.id, index, echo,
+                                std::move(key), false, {}}](
+            RequestOutcome outcome) mutable {
+            finish(std::move(job), std::move(outcome));
+        });
 }
 
 void
-AnalysisServer::Impl::completeFinishedJobs()
+AnalysisServer::Impl::finish(Completion job,
+                             RequestOutcome outcome)
 {
-    for (std::size_t j = 0; j < jobs.size();) {
-        PendingJob &job = jobs[j];
-        if (job.future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-            ++j;
-            continue;
-        }
-
-        bool ok = true;
-        std::string payload;
-        try {
-            const AnalysisResult result = job.future.get();
+    // Serialize here, on the worker; a result the writer rejects
+    // (a non-finite metric) becomes a failed event.
+    job.payload = std::move(outcome.error);
+    try {
+        if (outcome.result) {
             json::StreamWriter writer;
-            appendResult(writer, result);
-            payload = writer.take();
-        } catch (const std::exception &e) {
-            ok = false;
-            payload = e.what();
-        } catch (...) {
-            ok = false;
-            payload = "unknown error";
+            appendResult(writer, *outcome.result);
+            job.payload = writer.take();
+            job.ok = true;
         }
+    } catch (const std::exception &e) {
+        job.payload = e.what();
+    }
 
+    std::lock_guard<std::mutex> lock(completionsMutex);
+    completions.push_back(std::move(job));
+    // Only the first completion since the last swap wakes the
+    // loop; onWake reads the pipe and swaps under this lock, so
+    // at most one completion byte waits and a stop byte fits.
+    if (completions.size() == 1) {
+        [[maybe_unused]] const auto n =
+            write(wakeWrite, &kCompletionByte, 1);
+    }
+}
+
+void
+AnalysisServer::Impl::onWake()
+{
+    std::vector<Completion> finished;
+    {
+        std::lock_guard<std::mutex> lock(completionsMutex);
+        char buf[64];
+        for (ssize_t got;
+             (got = read(wakeRead, buf, sizeof(buf))) > 0;)
+            for (ssize_t i = 0; i < got; ++i)
+                if (buf[i] != kCompletionByte)
+                    stopRequested.store(true);
+        finished.swap(completions);
+    }
+    for (const Completion &job : finished) {
+        --inFlight;
         ++stats.served;
-        if (!ok)
+        if (!job.ok)
             ++stats.failed;
-        if (ok && cache && !job.cacheKey.empty())
-            cache->storeText(job.cacheKey, payload);
+        try {
+            if (job.ok && cache && !job.cacheKey.empty())
+                cache->storeText(job.cacheKey, job.payload);
+        } catch (const std::exception &) {
+            // Counted in the cache's stats; the answer still goes
+            // out, and the next ask recomputes it.
+        }
 
         // Deliver only if the connection that asked is still the
         // one on this fd (ids guard against fd reuse); a gone
         // client's work still warmed the caches above.
         const auto it = conns.find(job.fd);
-        if (it != conns.end() && it->second.id == job.connId)
-            it->second.outbuf +=
-                eventLine(job.index, job.requestEchoText, ok,
-                          payload) +
-                "\n";
+        if (it == conns.end() || it->second.id != job.connId)
+            continue;
+        --it->second.pending;
+        it->second.outbuf +=
+            eventLine(job.index, job.requestEchoText, job.ok,
+                      job.payload) +
+            "\n";
+    }
+}
 
-        jobs.erase(jobs.begin() +
-                   static_cast<std::ptrdiff_t>(j));
+void
+AnalysisServer::Impl::readLines(int fd, Connection &conn)
+{
+    char buf[65536];
+    while (!conn.eof) {
+        const auto got = read(fd, buf, sizeof(buf));
+        if (got <= 0) {
+            // EOF and hard errors (ECONNRESET) both end the read
+            // side; EAGAIN just means drained.
+            if (got == 0 ||
+                (errno != EAGAIN && errno != EWOULDBLOCK))
+                conn.eof = true;
+            return;
+        }
+        conn.inbuf.append(buf, static_cast<std::size_t>(got));
+
+        // Parse every complete line; the partial tail waits for
+        // more bytes. Each line is isolated: a malformed one
+        // answers an error event and the loop moves on.
+        std::size_t start = 0;
+        std::size_t nl;
+        while ((nl = conn.inbuf.find('\n', start)) !=
+               std::string::npos) {
+            std::string line =
+                conn.inbuf.substr(start, nl - start);
+            if (!line.empty() && line.back() == '\r')
+                line.pop_back();
+            start = nl + 1;
+            handleLine(fd, conn, line);
+        }
+        conn.inbuf.erase(0, start);
+
+        // A tail past the cap is never going to be a request:
+        // answer once, stop reading, and close once answered.
+        if (conn.inbuf.size() > kMaxLineBytes) {
+            ++stats.malformed;
+            conn.outbuf +=
+                errorLine(conn.nextIndex++,
+                          "request line exceeds " +
+                              std::to_string(kMaxLineBytes) +
+                              " bytes; closing the connection") +
+                "\n";
+            conn.inbuf = std::string();
+            conn.eof = true;
+        }
     }
 }
 
@@ -530,9 +613,9 @@ AnalysisServer::Impl::flushConnection(int fd, Connection &conn)
         if (sent < 0 && (errno == EAGAIN ||
                          errno == EWOULDBLOCK))
             return; // socket full; POLLOUT will retry
-        // Peer vanished: drop the connection. Its pending jobs
+        // Peer vanished: drop the connection. Its pending requests
         // finish and warm the cache; delivery is skipped by the
-        // id check in completeFinishedJobs.
+        // id check in onWake.
         closeConnection(fd);
         return;
     }
@@ -554,22 +637,19 @@ AnalysisServer::run()
             }
         }
 
-        impl.completeFinishedJobs();
-
         // Drain-time cleanup: a connection with nothing queued
         // and nothing pending has been fully served.
         std::vector<int> done;
         for (auto &[fd, conn] : impl.conns) {
             const bool drained =
-                conn.outbuf.empty() &&
-                !impl.hasPendingJob(fd, conn.id);
+                conn.outbuf.empty() && conn.pending == 0;
             if (drained && (impl.stopping || conn.eof))
                 done.push_back(fd);
         }
         for (const int fd : done)
             impl.closeConnection(fd);
 
-        if (impl.stopping && impl.jobs.empty() &&
+        if (impl.stopping && impl.inFlight == 0 &&
             impl.conns.empty())
             break;
 
@@ -587,12 +667,10 @@ AnalysisServer::run()
                 fds.push_back({fd, events, 0});
         }
 
-        // Busy-ish 1 ms tick only while futures are in flight;
-        // otherwise sleep until a socket or the wake pipe stirs.
-        const int timeout_ms = impl.jobs.empty() ? -1 : 1;
+        // Sleep until a socket stirs or the wake pipe carries a
+        // finished request or a stop.
         const int ready =
-            poll(fds.data(),
-                 static_cast<nfds_t>(fds.size()), timeout_ms);
+            poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
@@ -605,25 +683,16 @@ AnalysisServer::run()
                 continue;
 
             if (entry.fd == impl.wakeRead) {
-                char buf[64];
-                while (read(impl.wakeRead, buf, sizeof(buf)) >
-                       0) {
-                }
-                impl.stopRequested.store(true);
+                impl.onWake();
                 continue;
             }
 
             if (entry.fd == impl.listenFd) {
-                while (true) {
-                    const int conn_fd =
-                        accept(impl.listenFd, nullptr, nullptr);
-                    if (conn_fd < 0)
-                        break;
+                int conn_fd;
+                while ((conn_fd = accept(impl.listenFd, nullptr,
+                                         nullptr)) >= 0) {
                     setNonBlocking(conn_fd);
-                    Impl::Connection conn;
-                    conn.id = impl.nextConnId++;
-                    impl.conns.emplace(conn_fd,
-                                       std::move(conn));
+                    impl.conns[conn_fd].id = impl.nextConnId++;
                     ++impl.stats.connections;
                 }
                 continue;
@@ -634,50 +703,8 @@ AnalysisServer::run()
                 continue;
             Impl::Connection &conn = it->second;
 
-            if (entry.revents & (POLLIN | POLLHUP | POLLERR)) {
-                char buf[65536];
-                while (true) {
-                    const auto got =
-                        read(entry.fd, buf, sizeof(buf));
-                    if (got > 0) {
-                        conn.inbuf.append(
-                            buf, static_cast<std::size_t>(got));
-                        continue;
-                    }
-                    // EOF and hard errors (ECONNRESET) both end
-                    // the read side; EAGAIN just means drained.
-                    if (got == 0 ||
-                        (errno != EAGAIN && errno != EWOULDBLOCK))
-                        conn.eof = true;
-                    break;
-                }
-                // Parse every complete line; partial tail waits
-                // for more bytes. Each line is isolated: a
-                // malformed one answers an error event and the
-                // loop moves on.
-                std::size_t start = 0;
-                while (true) {
-                    const std::size_t nl =
-                        conn.inbuf.find('\n', start);
-                    if (nl == std::string::npos)
-                        break;
-                    std::string line = conn.inbuf.substr(
-                        start, nl - start);
-                    if (!line.empty() && line.back() == '\r')
-                        line.pop_back();
-                    start = nl + 1;
-                    impl.handleLine(entry.fd, conn, line);
-                    // The line may have dropped the connection.
-                    if (impl.conns.find(entry.fd) ==
-                        impl.conns.end())
-                        break;
-                }
-                if (impl.conns.find(entry.fd) !=
-                    impl.conns.end())
-                    conn.inbuf.erase(0, start);
-                else
-                    continue;
-            }
+            if (entry.revents & (POLLIN | POLLHUP | POLLERR))
+                impl.readLines(entry.fd, conn);
 
             if (!conn.outbuf.empty())
                 impl.flushConnection(entry.fd, conn);

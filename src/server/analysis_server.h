@@ -22,13 +22,15 @@
  * The accept/dispatch/respond loop is single-threaded, following
  * the event-loop skeleton of `engine/shard_coordinator.h`:
  * connections are polled, complete lines are parsed and either
- * answered from the cache or submitted to the engine pool, and
- * finished futures are written back as stream-event lines in
- * completion order (the per-connection `index` maps a line back
- * to its request, exactly like `--batch --stream`). A malformed
- * line yields an error event on its connection and never kills
- * the daemon; a disconnected client's in-flight work still
- * completes and warms the cache.
+ * answered from the cache or submitted to the engine pool. The
+ * worker that finishes a request serializes it and wakes the
+ * loop through its wake pipe, and the loop writes it back as a
+ * stream-event line in completion order (the per-connection
+ * `index` maps a line back to its request, exactly like
+ * `--batch --stream`); the loop never polls on a timer. A
+ * malformed or overlong line yields an error event on its
+ * connection and never kills the daemon; a disconnected client's
+ * in-flight work still completes and warms the cache.
  *
  * Wire protocol (field-by-field in `docs/serving.md`):
  *

@@ -172,16 +172,21 @@ ResultCache::storeText(const std::string &key,
     fs::create_directories(path.parent_path(), ec);
 
     // Write-then-rename: a crash mid-write leaves a stray .tmp,
-    // never a truncated object under its final name.
+    // never a truncated object under its final name, and a failed
+    // write (disk full, a path that is not a directory) renames
+    // nothing into place.
     const fs::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        requireModel(static_cast<bool>(out),
-                     "cannot write cache object " +
-                         tmp.string());
-        out << result_text << "\n";
+    std::ofstream out(tmp, std::ios::binary);
+    out << result_text << "\n";
+    out.close();
+    if (out)
+        fs::rename(tmp, path, ec);
+    if (!out || ec) {
+        fs::remove(tmp, ec);
+        ++stats_.storeFailures;
+        throw ModelError("cannot write cache object " +
+                         path.string());
     }
-    fs::rename(tmp, path);
 
     lastUse_[key] = tick_++;
     stats_.entries = lastUse_.size();

@@ -61,6 +61,9 @@ struct ResultCacheStats
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
 
+    /** `storeText` calls that failed (and threw). */
+    std::uint64_t storeFailures = 0;
+
     /** Entries currently indexed. */
     std::uint64_t entries = 0;
 };
@@ -109,6 +112,11 @@ class ResultCache
      * @p result_text must be one compact JSON result document
      * (the streaming serializers produce exactly that); it is
      * written as-is and atomically.
+     *
+     * @throws ModelError when the object cannot be written or
+     *         renamed into place; nothing is stored, the
+     *         temporary file is removed, and `storeFailures`
+     *         counts it.
      */
     void storeText(const std::string &key,
                    std::string_view result_text);

@@ -7,8 +7,9 @@
  * request API (`session/analysis_request.h`): build
  * `AnalysisRequest` values -- JSON round-trippable through
  * `io/request_io.h` -- and hand them to the thread-pooled
- * `engine/AnalysisEngine` (`submit()` futures, completion-order
- * `runStream()` callbacks, or aggregate `runBatch()`), which
+ * `engine/AnalysisEngine` (`submit()` with a per-request
+ * callback, completion-order `runStream()` callbacks, or
+ * aggregate `runBatch()`), which
  * deduplicates scenario contexts across requests. Whole batches
  * scale past one process through the coordinator
  * (`engine/shard_coordinator.h`): binding-cohesive sub-batch

@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <map>
+#include <mutex>
 #include <random>
 #include <set>
 #include <sstream>
@@ -193,24 +195,57 @@ TEST(Engine, FailedRequestNeverTakesDownTheBatch)
     EXPECT_TRUE(report.outcomes[1].result == std::nullopt);
 }
 
-TEST(Engine, SubmitPropagatesExceptionsThroughTheFuture)
+TEST(Engine, SubmitReportsEachOutcomeThroughItsCallbackOnce)
 {
-    AnalysisEngine engine(2);
-    auto future = engine.submit(
-        {ScenarioRef::designDirectory("/no/such/dir"),
-         EstimateSpec{}});
-    EXPECT_THROW(future.get(), ConfigError);
+    // Declared before the engine: its destructor drains the pool,
+    // so a stray second callback would still land here.
+    std::mutex mutex;
+    std::condition_variable delivered;
+    std::vector<int> calls(3, 0);
+    std::vector<RequestOutcome> outcomes(3);
+    auto waitFor = [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        delivered.wait(lock, [&] { return calls[i] > 0; });
+    };
 
-    // An invalid spec fails its own future too.
-    SweepSpec empty;
-    auto bad_spec = engine.submit(
-        {ScenarioRef::scenario("ga102"), empty});
-    EXPECT_THROW(bad_spec.get(), ConfigError);
+    {
+        AnalysisEngine engine(2);
+        auto submit = [&](std::size_t i, AnalysisRequest request) {
+            engine.submit(std::move(request),
+                          [&, i](RequestOutcome outcome) {
+                              std::lock_guard<std::mutex> lock(
+                                  mutex);
+                              ++calls[i];
+                              outcomes[i] = std::move(outcome);
+                              delivered.notify_all();
+                          });
+        };
+        submit(0, {ScenarioRef::designDirectory("/no/such/dir"),
+                   EstimateSpec{}});
+        // An invalid spec fails its own request too.
+        submit(1, {ScenarioRef::scenario("ga102"), SweepSpec{}});
+        waitFor(0);
+        waitFor(1);
 
-    // The engine stays usable afterwards.
-    auto good = engine.submit(
-        {ScenarioRef::scenario("ga102"), EstimateSpec{}});
-    EXPECT_TRUE(good.get().report.has_value());
+        // The engine stays usable afterwards.
+        submit(2, {ScenarioRef::scenario("ga102"), EstimateSpec{}});
+        waitFor(2);
+    }
+
+    EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
+    EXPECT_FALSE(outcomes[0].ok());
+    EXPECT_NE(outcomes[0].error.find("/no/such/dir"),
+              std::string::npos)
+        << outcomes[0].error;
+    EXPECT_FALSE(outcomes[1].ok());
+    EXPECT_NE(outcomes[1].error.find("config error"),
+              std::string::npos)
+        << outcomes[1].error;
+    ASSERT_TRUE(outcomes[2].ok()) << outcomes[2].error;
+    EXPECT_TRUE(outcomes[2].error.empty());
+    EXPECT_TRUE(outcomes[2].result->report.has_value());
+    EXPECT_EQ(outcomes[2].request.scenario.label(),
+              ScenarioRef::scenario("ga102").label());
 }
 
 // ------------------------------------------------ dedup

@@ -14,6 +14,8 @@
  * runner's library mode), then driven through `ServerClient`.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -38,6 +40,11 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define ECOCHIP_TEST_HAS_FORK 1
 #include <csignal>
+#include <cstring>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #else
@@ -213,6 +220,40 @@ TEST_F(ResultCacheTest, LruEvictionKeepsTheHotEntries)
 }
 
 #if ECOCHIP_TEST_HAS_FORK
+
+TEST_F(ResultCacheTest, ShortWriteIsNeverRenamedIntoPlace)
+{
+    // A write cut short (here by the file size limit, in a child
+    // so the limit stays there) must throw and count a store
+    // failure, and leave neither the object nor its temporary.
+    const std::string key(64, 'e');
+    const pid_t pid = fork();
+    if (pid == 0) {
+        std::signal(SIGXFSZ, SIG_IGN);
+        const rlimit limit{4096, 4096};
+        setrlimit(RLIMIT_FSIZE, &limit);
+        ResultCache cache({dirStr(), 0});
+        bool threw = false;
+        try {
+            cache.storeText(key, std::string(16384, ' ') + "{}");
+        } catch (const ModelError &) {
+            threw = true;
+        }
+        _exit(threw && cache.stats().storeFailures == 1 &&
+                      cache.stats().entries == 0
+                  ? 0
+                  : 1);
+    }
+    int status = 0;
+    waitpid(pid, &status, 0);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    const auto object =
+        dir_ / "objects" / key.substr(0, 2) / (key + ".json");
+    EXPECT_FALSE(std::filesystem::exists(object));
+    EXPECT_FALSE(
+        std::filesystem::exists(object.string() + ".tmp"));
+}
 
 // ------------------------------------------------ live server
 
@@ -587,6 +628,166 @@ TEST(AnalysisServer, SigtermDrainsInFlightRequests)
     const json::Value event = json::parse(client.readLine());
     EXPECT_EQ(event.at("index").asInteger(), 0);
     EXPECT_TRUE(event.at("ok").asBoolean());
+    EXPECT_EQ(server.waitForExit(), 0);
+}
+
+TEST(AnalysisServer, DisconnectedClientStillWarmsTheCache)
+{
+    const auto cache_dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_serve_gone";
+    std::filesystem::remove_all(cache_dir);
+    ServerOptions options = serverOptions("gone");
+    options.cacheDir = cache_dir.string();
+    ServerProcess server(std::move(options));
+    ASSERT_TRUE(server.started());
+    ASSERT_TRUE(ServerClient::waitForServer(
+        server.socketPath(), 15.0));
+
+    const std::string line =
+        requestToJson({ScenarioRef::scenario("ga102"),
+                       MonteCarloSpec{20000, 42, 1, {}}})
+            .dump(false);
+    {
+        ServerClient gone(server.socketPath());
+        gone.sendLine(line);
+    } // closed before its answer exists
+
+    // `served` counts answers whether or not anyone was left to
+    // read them: wait until the gone client's one is done.
+    ServerClient client(server.socketPath());
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(30);
+    while (client.stats().at("served").asInteger() < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    client.sendLine(line);
+    const json::Value event = json::parse(client.readLine());
+    EXPECT_TRUE(event.at("ok").asBoolean());
+    const json::Value stats = client.stats();
+    EXPECT_EQ(stats.at("hits").asInteger(), 1);
+    EXPECT_EQ(stats.at("misses").asInteger(), 1);
+    EXPECT_EQ(stats.at("served").asInteger(), 2);
+
+    client.shutdownServer();
+    EXPECT_EQ(server.waitForExit(), 0);
+}
+
+TEST(AnalysisServer, CacheStoreFailureStillAnswers)
+{
+    // Every object shard directory is a regular file, so no
+    // result can be stored. That once made the daemon exit with
+    // the request unanswered.
+    const auto cache_dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "ecochip_serve_unstorable";
+    std::filesystem::remove_all(cache_dir);
+    std::filesystem::create_directories(cache_dir / "objects");
+    const char *hex = "0123456789abcdef";
+    for (int i = 0; i < 256; ++i)
+        std::ofstream(cache_dir / "objects" /
+                      std::string{hex[i / 16], hex[i % 16]});
+
+    ServerOptions options = serverOptions("unstorable");
+    options.cacheDir = cache_dir.string();
+    ServerProcess server(std::move(options));
+    ASSERT_TRUE(server.started());
+    ASSERT_TRUE(ServerClient::waitForServer(
+        server.socketPath(), 15.0));
+
+    ServerClient client(server.socketPath());
+    const std::vector<AnalysisRequest> requests = {
+        {ScenarioRef::scenario("ga102"), EstimateSpec{}},
+        {ScenarioRef::scenario("emr"), EstimateSpec{}},
+    };
+    for (const auto &line : serveAll(client, requests))
+        EXPECT_TRUE(json::parse(line).at("ok").asBoolean())
+            << line;
+
+    const json::Value stats = client.stats();
+    EXPECT_EQ(stats.at("store_failures").asInteger(), 2);
+    EXPECT_EQ(stats.at("entries").asInteger(), 0);
+    EXPECT_EQ(stats.at("failed").asInteger(), 0);
+
+    client.shutdownServer();
+    EXPECT_EQ(server.waitForExit(), 0);
+}
+
+/**
+ * A bare connection, for bytes `ServerClient` never sends. Reads
+ * and writes give up after 20 s, so a server that never answers
+ * fails the test instead of hanging it.
+ */
+int
+connectRaw(const std::string &socket_path)
+{
+    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    const timeval timeout{20, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+               sizeof(timeout));
+    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+               sizeof(timeout));
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                sizeof(addr)) != 0) {
+        close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(AnalysisServer, OverlongLineGetsOneErrorEventThenEof)
+{
+    ServerProcess server(serverOptions("overlong"));
+    ASSERT_TRUE(server.started());
+    ASSERT_TRUE(ServerClient::waitForServer(
+        server.socketPath(), 15.0));
+
+    const int fd = connectRaw(server.socketPath());
+    ASSERT_GE(fd, 0);
+    // 2 MiB with no newline. The server stops reading at its
+    // 1 MiB cap, so the sender runs on its own thread and gives
+    // up once the server closes.
+    std::thread sender([fd] {
+        const std::string chunk(64 * 1024, '[');
+        for (int i = 0; i < 32; ++i)
+            if (send(fd, chunk.data(), chunk.size(),
+                     MSG_NOSIGNAL) <= 0)
+                break;
+    });
+    std::string received;
+    char buf[4096];
+    for (ssize_t got; (got = read(fd, buf, sizeof(buf))) > 0;)
+        received.append(buf, static_cast<std::size_t>(got));
+    sender.join();
+    close(fd);
+
+    // Exactly one line, then the end of the stream (a reset
+    // counts: the server closes with the unread rest queued).
+    ASSERT_EQ(std::count(received.begin(), received.end(), '\n'),
+              1)
+        << received.substr(0, 200);
+    ASSERT_EQ(received.back(), '\n');
+    received.pop_back();
+    const json::Value event = json::parse(received);
+    EXPECT_EQ(event.at("index").asInteger(), 0);
+    EXPECT_FALSE(event.at("ok").asBoolean());
+    EXPECT_NE(event.at("error").asString().find("1048576"),
+              std::string::npos)
+        << received;
+
+    // The daemon itself is fine and keeps serving.
+    ServerClient other(server.socketPath());
+    const json::Value stats = other.stats();
+    EXPECT_EQ(stats.at("malformed").asInteger(), 1);
+    EXPECT_EQ(stats.at("connections").asInteger(), 3);
+    other.shutdownServer();
     EXPECT_EQ(server.waitForExit(), 0);
 }
 
