@@ -120,9 +120,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -148,6 +145,7 @@
 #include "server/server_client.h"
 #include "session/analysis_session.h"
 #include "support/error.h"
+#include "support/file_io.h"
 #include "support/table_printer.h"
 
 namespace {
@@ -625,28 +623,6 @@ printCost(const AnalysisResult &cost)
 }
 
 /**
- * Write a markdown report through @p body, checked like the JSON
- * writers: a failed write (disk full, `RLIMIT_FSIZE`) removes the
- * partial file and throws a ConfigError naming the path.
- */
-void
-writeMarkdownFile(const std::string &path,
-                  const std::function<void(std::ostream &)> &body)
-{
-    std::ofstream out(path);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write markdown report: " + path);
-    body(out);
-    out.close();
-    if (!out) {
-        std::remove(path.c_str()); // never leave half a file
-        throw ConfigError("failed writing markdown report: " +
-                          path);
-    }
-    std::cout << "markdown report written to " << path << "\n";
-}
-
-/**
  * Run a request batch on the engine. Default: one status line
  * per request (request order) plus a summary. With --stream:
  * stdout carries exactly one NDJSON line per request, in
@@ -720,20 +696,25 @@ runBatch(const CliOptions &opts, ScenarioRegistry registry)
             << "results written to " << *opts.jsonPath << "\n";
     }
 
-    if (opts.markdownPath)
-        writeMarkdownFile(*opts.markdownPath, [&](std::ostream &out) {
-            for (const auto &outcome : report.outcomes) {
-                if (outcome.ok())
-                    writeResultMarkdown(out, *outcome.result);
-                else
-                    out << "# ECO-CHIP "
-                        << toString(outcome.request.kind())
-                        << ": FAILED\n\n- "
-                        << outcome.request.scenario.label()
-                        << ": " << outcome.error << "\n";
-                out << "\n";
-            }
-        });
+    if (opts.markdownPath) {
+        replaceFile(
+            *opts.markdownPath, "markdown report",
+            [&](std::ostream &out) {
+                for (const auto &outcome : report.outcomes) {
+                    if (outcome.ok())
+                        writeResultMarkdown(out, *outcome.result);
+                    else
+                        out << "# ECO-CHIP "
+                            << toString(outcome.request.kind())
+                            << ": FAILED\n\n- "
+                            << outcome.request.scenario.label()
+                            << ": " << outcome.error << "\n";
+                    out << "\n";
+                }
+            });
+        std::cout << "markdown report written to "
+                  << *opts.markdownPath << "\n";
+    }
 
     return report.allOk() ? 0 : 1;
 }
@@ -1090,10 +1071,8 @@ runCoordinate(const CliOptions &opts, const char *argv0)
 }
 
 int
-run(int argc, char **argv)
+run(const CliOptions &opts, const char *argv0)
 {
-    const CliOptions opts = parseArgs(argc, argv);
-
     // Server modes manage their own registries, like the worker
     // and coordinator modes below.
     if (opts.serve)
@@ -1115,7 +1094,7 @@ run(int argc, char **argv)
             opts.scenariosPath, eventsPathFor(*opts.jsonPath));
 
     if (!opts.coordinatePath.empty())
-        return runCoordinate(opts, argv[0]);
+        return runCoordinate(opts, argv0);
 
     ScenarioRegistry registry = ScenarioRegistry::builtin();
     if (!opts.scenariosPath.empty())
@@ -1187,13 +1166,17 @@ run(int argc, char **argv)
                   << "\n";
     }
 
-    if (opts.markdownPath)
-        writeMarkdownFile(*opts.markdownPath, [&](std::ostream &out) {
-            for (const auto &result : results) {
-                writeResultMarkdown(out, result);
-                out << "\n";
-            }
-        });
+    if (opts.markdownPath) {
+        replaceFile(*opts.markdownPath, "markdown report",
+                    [&](std::ostream &out) {
+                        for (const auto &result : results) {
+                            writeResultMarkdown(out, result);
+                            out << "\n";
+                        }
+                    });
+        std::cout << "markdown report written to "
+                  << *opts.markdownPath << "\n";
+    }
     return 0;
 }
 
@@ -1202,11 +1185,16 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    bool parsed = false;
     try {
-        return run(argc, argv);
+        const CliOptions opts = parseArgs(argc, argv);
+        parsed = true;
+        return run(opts, argv[0]);
     } catch (const ecochip::Error &e) {
         std::cerr << "eco_chip: " << e.what() << "\n";
-        printUsage(std::cerr);
+        // The flag list helps only when the flags were wrong.
+        if (!parsed)
+            printUsage(std::cerr);
         return 1;
     }
 }

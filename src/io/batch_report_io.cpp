@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -13,6 +11,7 @@
 #include "io/request_io.h"
 #include "io/result_writer.h"
 #include "support/error.h"
+#include "support/file_io.h"
 
 namespace ecochip {
 
@@ -280,39 +279,32 @@ void
 writeBatchReportFile(const BatchReport &report,
                      const std::string &path, ThreadPool &pool)
 {
-    std::ofstream out(path, std::ios::binary);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write JSON file: " + path);
-    std::string edge;
-    appendReportHead(edge, report, true);
-    out << edge;
+    replaceFile(path, "JSON file", [&](std::ostream &out) {
+        std::string edge;
+        appendReportHead(edge, report, true);
+        out << edge;
 
-    const int workers = pool.threadCount();
-    const auto state =
-        std::make_shared<BlockWrite>(report.outcomes, workers);
-    try {
-        // The caller takes one block itself, so one block needs
-        // no pool task at all.
-        for (std::size_t w = 0;
-             w < static_cast<std::size_t>(workers) &&
-             w + 1 < state->blocks;
-             ++w)
-            pool.post([state] { state->work(); });
-        state->writeTo(out);
-
+        const int workers = pool.threadCount();
+        const auto state =
+            std::make_shared<BlockWrite>(report.outcomes, workers);
+        try {
+            // The caller takes one block itself, so one block
+            // needs no pool task at all.
+            for (std::size_t w = 0;
+                 w < static_cast<std::size_t>(workers) &&
+                 w + 1 < state->blocks;
+                 ++w)
+                pool.post([state] { state->work(); });
+            state->writeTo(out);
+        } catch (...) {
+            state->cancel();
+            throw;
+        }
         edge.clear();
         appendReportTail(edge, report, true);
         edge += '\n';
         out << edge;
-        out.close();
-        if (!out)
-            throw ConfigError("failed writing JSON file: " + path);
-    } catch (...) {
-        state->cancel();
-        out.close();
-        std::remove(path.c_str()); // never leave half a report
-        throw;
-    }
+    });
 }
 
 std::string

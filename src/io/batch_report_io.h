@@ -78,7 +78,8 @@ inline constexpr std::size_t kReportBlockOutcomes = 64;
  * @throws ConfigError when @p path cannot be opened or a write to
  *         it fails (disk full, file size limit), and whatever
  *         serializing an outcome throws (ModelError for a
- *         non-finite number); the partial file is then removed.
+ *         non-finite number); the file is replaced through
+ *         `replaceFile`, so the previous report is then kept.
  */
 void writeBatchReportFile(const BatchReport &report,
                           const std::string &path,

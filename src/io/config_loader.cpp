@@ -1,10 +1,11 @@
 #include "io/config_loader.h"
 
 #include <filesystem>
-#include <fstream>
 #include <optional>
+#include <sstream>
 
 #include "support/error.h"
+#include "support/file_io.h"
 
 namespace ecochip {
 
@@ -494,9 +495,7 @@ appendReport(json::StreamWriter &writer,
 std::vector<double>
 loadNodeList(const std::string &path)
 {
-    std::ifstream in(path);
-    requireConfig(static_cast<bool>(in),
-                  "cannot open node list: " + path);
+    std::istringstream in(readFile(path, "node list"));
 
     std::vector<double> nodes;
     std::string line;

@@ -5,11 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "json/ondemand.h"
 #include "support/error.h"
+#include "support/file_io.h"
 
 namespace ecochip::json {
 
@@ -434,12 +433,7 @@ parse(const std::string &text)
 Value
 parseFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    requireConfig(static_cast<bool>(in),
-                  "cannot open JSON file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
+    return parse(readFile(path, "JSON file"));
 }
 
 void
@@ -451,15 +445,8 @@ writeFile(const Value &value, const std::string &path)
 void
 writeTextFile(std::string_view text, const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary);
-    requireConfig(static_cast<bool>(out),
-                  "cannot write JSON file: " + path);
-    out << text << '\n';
-    out.close();
-    if (!out) {
-        std::remove(path.c_str()); // never leave half a file
-        throw ConfigError("failed writing JSON file: " + path);
-    }
+    replaceFile(path, "JSON file",
+                [&](std::ostream &out) { out << text << '\n'; });
 }
 
 } // namespace ecochip::json

@@ -259,7 +259,7 @@ Value parseFile(const std::string &path);
  * Write a value to a file as pretty-printed JSON.
  *
  * @param value Root value to serialize.
- * @param path Destination path (overwritten).
+ * @param path Destination path (replaced).
  */
 void writeFile(const Value &value, const std::string &path);
 
@@ -267,8 +267,8 @@ void writeFile(const Value &value, const std::string &path);
  * Write an already serialized document plus a newline to a file:
  * `writeFile(v, path)` is `writeTextFile(v.dump(true), path)`.
  *
- * @throws ConfigError naming @p path when it cannot be opened or
- *         a write to it fails; a partial file is removed.
+ * Replaces the file through `replaceFile`: a failed write throws
+ * a ConfigError naming @p path and keeps the previous file.
  */
 void writeTextFile(std::string_view text, const std::string &path);
 

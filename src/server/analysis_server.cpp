@@ -3,13 +3,11 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,6 +17,7 @@
 #include "io/result_writer.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
+#include "support/file_io.h"
 #include "support/sha256.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -47,17 +46,6 @@ constexpr const char *kCacheSchemaVersion =
     "ecochip-result-cache-v1";
 
 std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    requireConfig(static_cast<bool>(in),
-                  "cannot read catalog file: " + path);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
-}
-
-std::string
 computeCatalogFingerprint(const ScenarioRegistry &registry,
                           const std::string &scenarios_path)
 {
@@ -75,7 +63,7 @@ computeCatalogFingerprint(const ScenarioRegistry &registry,
     }
     if (!scenarios_path.empty()) {
         digest.update("\n--scenarios\n");
-        digest.update(fileBytes(scenarios_path));
+        digest.update(readFile(scenarios_path, "catalog file"));
     }
     return digest.hexDigest();
 }
@@ -711,8 +699,15 @@ AnalysisServer::run()
         }
     }
 
-    if (impl.cache)
-        impl.cache->flushIndex();
+    // Every answer is out: an index that cannot be saved costs
+    // only the next start's LRU order (see ResultCache).
+    try {
+        if (impl.cache)
+            impl.cache->flushIndex();
+    } catch (const ConfigError &e) {
+        std::cerr << "warning: cache index not saved: "
+                  << e.what() << "\n";
+    }
 }
 
 int

@@ -9,6 +9,7 @@
 #include "io/request_io.h"
 #include "json/ondemand.h"
 #include "support/error.h"
+#include "support/file_io.h"
 #include "support/sha256.h"
 
 namespace ecochip {
@@ -139,16 +140,10 @@ ResultCache::lookupText(const std::string &key)
         return std::nullopt;
     }
     try {
-        std::ifstream in(objectPath(key), std::ios::binary);
-        requireConfig(static_cast<bool>(in),
-                      "cannot open JSON file: " +
-                          objectPath(key));
-        std::ostringstream bytes;
-        bytes << in.rdbuf();
         // One scan validates the object and canonicalizes it --
         // no DOM on the warm path.
-        std::string result =
-            json::ondemand::reserialize(bytes.str(), false);
+        std::string result = json::ondemand::reserialize(
+            readFile(objectPath(key), "cache object"), false);
         it->second = tick_++;
         ++stats_.hits;
         return result;
@@ -167,25 +162,16 @@ void
 ResultCache::storeText(const std::string &key,
                        std::string_view result_text)
 {
-    const fs::path path = objectPath(key);
+    const std::string path = objectPath(key);
     std::error_code ec;
-    fs::create_directories(path.parent_path(), ec);
-
-    // Write-then-rename: a crash mid-write leaves a stray .tmp,
-    // never a truncated object under its final name, and a failed
-    // write (disk full, a path that is not a directory) renames
-    // nothing into place.
-    const fs::path tmp = path.string() + ".tmp";
-    std::ofstream out(tmp, std::ios::binary);
-    out << result_text << "\n";
-    out.close();
-    if (out)
-        fs::rename(tmp, path, ec);
-    if (!out || ec) {
-        fs::remove(tmp, ec);
+    fs::create_directories(fs::path(path).parent_path(), ec);
+    try {
+        replaceFile(path, "cache object", [&](std::ostream &out) {
+            out << result_text << '\n';
+        });
+    } catch (const ConfigError &) {
         ++stats_.storeFailures;
-        throw ModelError("cannot write cache object " +
-                         path.string());
+        throw ModelError("cannot write cache object " + path);
     }
 
     lastUse_[key] = tick_++;
@@ -225,9 +211,14 @@ ResultCache::flushIndex()
         entries.append(std::move(entry));
     }
     doc.set("entries", std::move(entries));
-    json::writeFile(
-        doc,
-        (fs::path(options_.directory) / "index.json").string());
+    try {
+        json::writeFile(
+            doc,
+            (fs::path(options_.directory) / "index.json").string());
+    } catch (const ConfigError &) {
+        ++stats_.storeFailures;
+        throw;
+    }
 }
 
 } // namespace ecochip

@@ -61,7 +61,7 @@ struct ResultCacheStats
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
 
-    /** `storeText` calls that failed (and threw). */
+    /** `storeText` and `flushIndex` calls that threw. */
     std::uint64_t storeFailures = 0;
 
     /** Entries currently indexed. */
@@ -111,17 +111,17 @@ class ResultCache
      * least-recently-used entries down to `maxEntries`.
      * @p result_text must be one compact JSON result document
      * (the streaming serializers produce exactly that); it is
-     * written as-is and atomically.
+     * written as-is through `replaceFile`.
      *
      * @throws ModelError when the object cannot be written or
-     *         renamed into place; nothing is stored, the
-     *         temporary file is removed, and `storeFailures`
-     *         counts it.
+     *         renamed into place (`replaceFile`); nothing is
+     *         stored, and `storeFailures` counts it.
      */
     void storeText(const std::string &key,
                    std::string_view result_text);
 
-    /** Write the LRU index to `<dir>/index.json`. */
+    /** Write the LRU index to `<dir>/index.json`; a failure
+     *  throws ConfigError and counts in `storeFailures`. */
     void flushIndex();
 
     /** Counters since this cache was opened. */

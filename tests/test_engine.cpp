@@ -2119,8 +2119,8 @@ TEST(ReportWriter, CallerFinishesTheWriteWhileThePoolIsBusy)
  * Exit status of @p body run in a forked child whose files may
  * not grow past @p limit_bytes. SIGXFSZ is ignored, so a write
  * past the limit fails with EFBIG instead of killing the child.
- * (A full-device target would not do: the failure path removes
- * the file it wrote, and must never be pointed at a device node.)
+ * (A full-device target would not do: `replaceFile` refuses
+ * device nodes.)
  */
 int
 exitStatusUnderFileSizeLimit(rlim_t limit_bytes,
@@ -2146,10 +2146,24 @@ exitStatusUnderFileSizeLimit(rlim_t limit_bytes,
     return WIFEXITED(status) ? WEXITSTATUS(status) : -2;
 }
 
-/** 0 when @p write throws a ConfigError naming @p path and
- *  leaves no file there. */
+/** Files beside @p path named like its `replaceFile` temps. */
+std::size_t
+strayTemps(const std::filesystem::path &path)
+{
+    const std::string prefix = path.filename().string() + ".tmp.";
+    std::size_t count = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(path.parent_path()))
+        if (entry.path().filename().string().starts_with(prefix))
+            ++count;
+    return count;
+}
+
+/** 0 when @p write throws a ConfigError naming @p path, leaves
+ *  the file there as @p previous and no temp file beside it. */
 int
 failsLoudly(const std::filesystem::path &path,
+            const std::string &previous,
             const std::function<void()> &write)
 {
     try {
@@ -2160,7 +2174,9 @@ failsLoudly(const std::filesystem::path &path,
             std::string::npos)
             return 2;
     }
-    return std::filesystem::exists(path) ? 3 : 0;
+    if (readWhole(path) != previous)
+        return 3;
+    return strayTemps(path) == 0 ? 0 : 4;
 }
 
 TEST(ReportWriter, FailedWriteThrowsAndRemovesThePartialFile)
@@ -2173,12 +2189,15 @@ TEST(ReportWriter, FailedWriteThrowsAndRemovesThePartialFile)
         cycledReport(8 * kReportBlockOutcomes);
     ASSERT_GT(batchReportText(report, true).size(), 4 * limit);
     const std::string text(4 * limit, ' ');
+    // The report a failed write must keep, byte for byte.
+    const std::string previous = "{\"previous\": true}\n";
+    std::ofstream(path, std::ios::binary) << previous;
 
     for (const int threads : {1, 2}) {
         SCOPED_TRACE(::testing::Message() << threads << " thread(s)");
         EXPECT_EQ(exitStatusUnderFileSizeLimit(limit, [&] {
                       ThreadPool pool(threads);
-                      return failsLoudly(path, [&] {
+                      return failsLoudly(path, previous, [&] {
                           writeBatchReportFile(report,
                                                path.string(), pool);
                       });
@@ -2186,14 +2205,22 @@ TEST(ReportWriter, FailedWriteThrowsAndRemovesThePartialFile)
                   0);
     }
     EXPECT_EQ(exitStatusUnderFileSizeLimit(limit, [&] {
-                  return failsLoudly(path, [&] {
+                  return failsLoudly(path, previous, [&] {
                       json::writeTextFile(text, path.string());
                   });
               }),
               0);
     // The same writes succeed without the limit.
+    {
+        ThreadPool pool(2);
+        writeBatchReportFile(report, path.string(), pool);
+    }
+    expectSameBytes(readWhole(path),
+                    batchReportText(report, true) + "\n",
+                    "write after failed ones");
     json::writeTextFile(text, path.string());
     EXPECT_EQ(std::filesystem::file_size(path), text.size() + 1);
+    EXPECT_EQ(strayTemps(path), 0u);
     std::filesystem::remove(path);
 }
 

@@ -1,11 +1,19 @@
 /**
  * @file
- * Unit tests for JSON configuration loading and report emission.
+ * Unit tests for JSON configuration loading, report emission and
+ * whole-file replacement.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +24,7 @@
 #include "json/ondemand.h"
 #include "json/stream_writer.h"
 #include "support/error.h"
+#include "support/file_io.h"
 
 namespace ecochip {
 namespace {
@@ -441,6 +450,164 @@ TEST(WireIdentity, JournalRoundTripPreservesCanonicalBytes)
     }
     EXPECT_EQ(n, entries.size());
     std::filesystem::remove(path);
+}
+
+// ------------------------------------------------ file module
+
+/** A fresh, empty directory under the test temp dir. */
+std::filesystem::path
+freshDir(const std::string &name)
+{
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     (name + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+void
+replaceWith(const std::filesystem::path &path,
+            const std::string &text)
+{
+    replaceFile(path.string(), "test file",
+                [&](std::ostream &out) { out << text; });
+}
+
+std::string
+bytesOf(const std::filesystem::path &path)
+{
+    return readFile(path.string(), "test file");
+}
+
+/** Directory entries other than @p keep. */
+std::vector<std::string>
+othersIn(const std::filesystem::path &dir,
+         const std::vector<std::string> &keep)
+{
+    std::vector<std::string> others;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (std::find(keep.begin(), keep.end(), name) == keep.end())
+            others.push_back(name);
+    }
+    return others;
+}
+
+TEST(FileIo, ThrowingWriterKeepsThePreviousFile)
+{
+    const auto dir = freshDir("ecochip_file_throwing");
+    const auto path = dir / "report.json";
+    replaceWith(path, "old\n");
+    EXPECT_THROW(replaceFile(path.string(), "test file",
+                             [](std::ostream &out) {
+                                 out << std::string(100000, 'x');
+                                 throw ModelError("mid-write");
+                             }),
+                 ModelError);
+    EXPECT_EQ(bytesOf(path), "old\n");
+    EXPECT_TRUE(othersIn(dir, {"report.json"}).empty());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FileIo, ConcurrentReplacesInOneDirectoryDoNotCollide)
+{
+    const auto dir = freshDir("ecochip_file_concurrent");
+    const int rounds = 200;
+    // Each round's text has its own length, so a mix-up between
+    // the writers or rounds shows in the final bytes.
+    auto text = [](const std::string &name, int round) {
+        return name + std::string(static_cast<std::size_t>(round) * 37,
+                                  '.');
+    };
+    auto writer = [&](const std::string &name) {
+        for (int i = 0; i < rounds; ++i)
+            replaceWith(dir / name, text(name, i));
+    };
+    std::thread a(writer, "a.json");
+    std::thread b(writer, "b.json");
+    a.join();
+    b.join();
+    for (const std::string name : {"a.json", "b.json"})
+        EXPECT_EQ(bytesOf(dir / name), text(name, rounds - 1));
+    EXPECT_TRUE(othersIn(dir, {"a.json", "b.json"}).empty());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FileIo, FollowsSymlinksButNotHardLinks)
+{
+    // A chain of symlinks (like /dev/stdout -> /proc/self/fd/1 ->
+    // a redirected file) is followed: the file at its end is
+    // replaced and every link stays. Another hard link to that
+    // file keeps the old bytes.
+    const auto dir = freshDir("ecochip_file_links");
+    replaceWith(dir / "target.json", "target\n");
+    std::filesystem::create_hard_link(dir / "target.json",
+                                      dir / "hard.json");
+    std::filesystem::create_symlink(dir / "target.json",
+                                    dir / "link.json");
+    std::filesystem::create_symlink("link.json", dir / "chain.json");
+    replaceWith(dir / "chain.json", "new\n");
+    EXPECT_EQ(std::filesystem::read_symlink(dir / "chain.json"),
+              "link.json");
+    EXPECT_EQ(std::filesystem::read_symlink(dir / "link.json"),
+              dir / "target.json");
+    EXPECT_EQ(bytesOf(dir / "target.json"), "new\n");
+    EXPECT_EQ(bytesOf(dir / "hard.json"), "target\n");
+    EXPECT_TRUE(othersIn(dir, {"target.json", "link.json",
+                               "chain.json", "hard.json"})
+                    .empty());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FileIo, RefusesADirectoryOrFifoAtThePath)
+{
+    // A symlink to either is refused too (`/dev/stdout` is one),
+    // and the link is left in place.
+    const auto dir = freshDir("ecochip_file_special");
+    std::filesystem::create_directory(dir / "sub");
+    ASSERT_EQ(::mkfifo((dir / "fifo").c_str(), 0600), 0);
+    std::filesystem::create_directory_symlink(dir / "sub",
+                                              dir / "sub_link");
+    std::filesystem::create_symlink(dir / "fifo", dir / "fifo_link");
+    for (const std::string name :
+         {"sub", "fifo", "sub_link", "fifo_link"}) {
+        try {
+            replaceWith(dir / name, "never\n");
+            ADD_FAILURE() << name << " was replaced";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "cannot write test file: " +
+                          (dir / name).string()),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_TRUE(std::filesystem::is_directory(dir / "sub"));
+    EXPECT_TRUE(std::filesystem::is_fifo(dir / "fifo"));
+    for (const std::string name : {"sub_link", "fifo_link"}) {
+        EXPECT_TRUE(std::filesystem::is_symlink(dir / name)) << name;
+    }
+    EXPECT_EQ(std::filesystem::read_symlink(dir / "fifo_link"),
+              dir / "fifo");
+    EXPECT_TRUE(
+        othersIn(dir, {"sub", "fifo", "sub_link", "fifo_link"})
+            .empty());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FileIo, ReadFileOfAMissingPathNamesIt)
+{
+    const auto path = freshDir("ecochip_file_missing") / "none.json";
+    try {
+        readFile(path.string(), "JSON file");
+        ADD_FAILURE() << "a missing file was read";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("cannot read JSON file: " +
+                                             path.string()),
+                  std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove_all(path.parent_path());
 }
 
 } // namespace

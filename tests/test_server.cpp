@@ -19,6 +19,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -40,6 +42,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define ECOCHIP_TEST_HAS_FORK 1
 #include <csignal>
+#include <fcntl.h>
 #include <cstring>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -251,8 +254,16 @@ TEST_F(ResultCacheTest, ShortWriteIsNeverRenamedIntoPlace)
     const auto object =
         dir_ / "objects" / key.substr(0, 2) / (key + ".json");
     EXPECT_FALSE(std::filesystem::exists(object));
-    EXPECT_FALSE(
-        std::filesystem::exists(object.string() + ".tmp"));
+    // The temp is `<key>.json.tmp.<pid of the child>`.
+    const std::string tempPrefix = key + ".json.tmp.";
+    if (std::filesystem::exists(object.parent_path())) {
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 object.parent_path())) {
+            EXPECT_FALSE(entry.path().filename().string().starts_with(
+                tempPrefix))
+                << entry.path();
+        }
+    }
 }
 
 // ------------------------------------------------ live server
@@ -261,12 +272,15 @@ TEST_F(ResultCacheTest, ShortWriteIsNeverRenamedIntoPlace)
  * A forked `--serve`-equivalent child process. Fork happens
  * before the parent test creates any engine threads; the child
  * constructs the server, runs until drained, and _exits with 0
- * (clean drain) or 17 (construction/run threw).
+ * (clean drain), 17 (construction/run threw) or 18 (@p drained,
+ * when given, rejected the drained server).
  */
 class ServerProcess
 {
   public:
-    explicit ServerProcess(ServerOptions options)
+    explicit ServerProcess(
+        ServerOptions options,
+        std::function<bool(const AnalysisServer &)> drained = {})
         : socket_(options.socketPath)
     {
         pid_ = fork();
@@ -274,7 +288,7 @@ class ServerProcess
             try {
                 AnalysisServer server(std::move(options));
                 server.run();
-                _exit(0);
+                _exit(!drained || drained(server) ? 0 : 18);
             } catch (...) {
                 _exit(17);
             }
@@ -712,6 +726,60 @@ TEST(AnalysisServer, CacheStoreFailureStillAnswers)
 
     client.shutdownServer();
     EXPECT_EQ(server.waitForExit(), 0);
+}
+
+TEST(AnalysisServer, UnsavableIndexStillDrainsCleanly)
+{
+    // `index.json` is a directory, so the index cannot be saved
+    // after the drain. That once escaped `run()`: every answer
+    // went out, then the daemon exited 1 without its drain line.
+    const auto temp = std::filesystem::path(::testing::TempDir());
+    const auto cache_dir = temp / "ecochip_serve_unsavable_index";
+    std::filesystem::remove_all(cache_dir);
+    std::filesystem::create_directories(cache_dir / "index.json");
+    const auto log =
+        temp / ("ecochip_serve_unsavable_" +
+                std::to_string(getpid()) + ".err");
+
+    ServerOptions options = serverOptions("unsavable");
+    options.cacheDir = cache_dir.string();
+    // The child's stderr goes to the log; the parent's is back
+    // right after the fork.
+    const int saved_stderr = dup(2);
+    const int log_fd =
+        open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(log_fd, 0);
+    dup2(log_fd, 2);
+    ServerProcess server(
+        std::move(options), [](const AnalysisServer &drained) {
+            return drained.stats().cache.storeFailures == 1;
+        });
+    dup2(saved_stderr, 2);
+    close(saved_stderr);
+    close(log_fd);
+    ASSERT_TRUE(server.started());
+    ASSERT_TRUE(ServerClient::waitForServer(
+        server.socketPath(), 15.0));
+
+    ServerClient client(server.socketPath());
+    for (const auto &line :
+         serveAll(client, builtinEstimateRequests()))
+        EXPECT_TRUE(json::parse(line).at("ok").asBoolean())
+            << line;
+    client.shutdownServer();
+    EXPECT_EQ(server.waitForExit(), 0);
+
+    std::ifstream in(log);
+    const std::string warning((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_NE(warning.find("warning: cache index not saved"),
+              std::string::npos)
+        << warning;
+    EXPECT_NE(warning.find((cache_dir / "index.json").string()),
+              std::string::npos)
+        << warning;
+    std::filesystem::remove(log);
+    std::filesystem::remove_all(cache_dir);
 }
 
 /**
