@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "manufacture/nre_model.h"
-#include "noc/router_model.h"
 #include "support/error.h"
 
 namespace ecochip {
@@ -126,38 +125,13 @@ EcoChip::estimate(const SystemSpec &system) const
     // per chiplet) is designed once per system and amortized over
     // NS (Eq. 12's Cdes,comm term).
     DesignModel design(tech_, config_.design);
-    double comm_mtr = 0.0;
-    double comm_node_nm = config_.package.interposerNodeNm;
-    if (!system.isMonolithic()) {
-        const double nc =
-            static_cast<double>(system.chiplets.size());
-        switch (config_.package.arch) {
-          case PackagingArch::RdlFanout:
-          case PackagingArch::SiliconBridge:
-            comm_mtr =
-                PhyModel(tech_,
-                         config_.package.router.flitWidthBits)
-                    .transistorsMtr() *
-                nc;
-            comm_node_nm = system.chiplets.front().nodeNm;
-            break;
-          case PackagingArch::PassiveInterposer:
-          case PackagingArch::Stack3d:
-            comm_mtr = RouterModel(tech_, config_.package.router)
-                           .transistorsMtr() *
-                       nc;
-            comm_node_nm = system.chiplets.front().nodeNm;
-            break;
-          case PackagingArch::ActiveInterposer:
-            comm_mtr = RouterModel(tech_, config_.package.router)
-                           .transistorsMtr() *
-                       nc;
-            comm_node_nm = config_.package.interposerNodeNm;
-            break;
-        }
-    }
+    const CommIp comm =
+        system.isMonolithic()
+            ? CommIp{}
+            : pkg.commIp(system.chiplets.size(),
+                         system.chiplets.front().nodeNm);
     report.designCo2Kg = design.systemDesignCo2Kg(
-        system, comm_mtr, comm_node_nm,
+        system, comm.transistorsMtr, comm.nodeNm,
         [&](const Chiplet &chiplet) {
             return cachedChipletDesign(design, chiplet);
         });

@@ -1,8 +1,8 @@
 #include "cost/cost_model.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "package/carbon_terms.h"
 #include "support/error.h"
 #include "support/units.h"
 
@@ -93,10 +93,8 @@ CostModel::systemCost(const SystemSpec &system,
         double footprint_mm2 = 0.0;
         for (double area_mm2 : areas_mm2)
             footprint_mm2 = std::max(footprint_mm2, area_mm2);
-        const double pitch_um = pkg.bondPitchUm();
         const double vias =
-            std::floor(footprint_mm2 * units::kUm2PerMm2 /
-                       (pitch_um * pitch_um));
+            bondVias(footprint_mm2, pkg.bondPitchUm());
         out.packageUsd =
             params_.substrateCostPerCm2Usd * footprint_mm2 *
                 units::kCm2PerMm2 +
@@ -115,19 +113,13 @@ CostModel::systemCost(const SystemSpec &system,
                        pkg.rdlLayers *
                            params_.rdlLayerCostPerCm2Usd);
         break;
-      case PackagingArch::SiliconBridge: {
-        int bridges = 0;
-        for (const auto &adj : fp.adjacencies)
-            bridges += std::max(
-                1, static_cast<int>(std::ceil(
-                       adj.overlapMm / pkg.bridgeRangeMm)));
-        bridges = std::max(
-            bridges, static_cast<int>(system.chiplets.size()) - 1);
+      case PackagingArch::SiliconBridge:
         out.packageUsd =
             pkg_cm2 * params_.substrateCostPerCm2Usd +
-            bridges * params_.bridgeCostUsd;
+            bridgeCount(fp.adjacencies, pkg.bridgeRangeMm,
+                        system.chiplets.size()) *
+                params_.bridgeCostUsd;
         break;
-      }
       case PackagingArch::PassiveInterposer:
       case PackagingArch::ActiveInterposer: {
         // The interposer is itself a die from a (legacy-node)

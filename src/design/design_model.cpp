@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "package/carbon_terms.h"
 #include "support/error.h"
-#include "support/units.h"
 
 namespace ecochip {
 
@@ -42,9 +42,7 @@ DesignModel::gateCountMgates(const Chiplet &chiplet) const
 double
 DesignModel::hoursToCo2Kg(double hours) const
 {
-    const double energy_kwh =
-        hours * params_.pdesW * units::kKwhPerWh;
-    return units::carbonKg(params_.intensityGPerKwh, energy_kwh);
+    return designCo2Kg(hours, params_.pdesW, params_.intensityGPerKwh);
 }
 
 double
@@ -62,15 +60,11 @@ DesignModel::singleIterationCo2Kg(const Chiplet &chiplet) const
 double
 DesignModel::designHours(double gates_mgates, double node_nm) const
 {
-    const double spr = params_.sprHoursPerMgate * gates_mgates;
-    const double analyze = params_.analyzeFraction * spr;
-    // Eq. 13: iterate SP&R + analysis, derated by eta_EDA, with
-    // verification as a multiple of the iterative effort.
-    const double iterative = (spr + analyze) *
-                             params_.designIterations /
-                             edaProductivityFit(node_nm);
-    const double verif = params_.verifMultiple * iterative;
-    return verif + iterative;
+    return ecochip::designHours(
+        {params_.sprHoursPerMgate, params_.analyzeFraction,
+         static_cast<double>(params_.designIterations),
+         params_.verifMultiple},
+        gates_mgates, edaProductivityFit(node_nm));
 }
 
 DesignBreakdown
@@ -110,14 +104,20 @@ DesignModel::systemDesignCo2Kg(
             continue; // pre-designed IP: Cdes already amortized
         per_part += chiplet_design(chiplet).amortizedCo2Kg;
     }
-    if (comm_transistors_mtr > 0.0) {
-        const double comm_gates =
-            comm_transistors_mtr * params_.gatesPerTransistor;
-        const double comm_co2 =
-            hoursToCo2Kg(designHours(comm_gates, comm_node_nm));
-        per_part += comm_co2 / params_.systemVolume;
-    }
+    if (comm_transistors_mtr > 0.0)
+        per_part +=
+            commDesignCo2Kg(comm_transistors_mtr, comm_node_nm);
     return per_part;
+}
+
+double
+DesignModel::commDesignCo2Kg(double comm_transistors_mtr,
+                             double comm_node_nm) const
+{
+    const double comm_gates =
+        comm_transistors_mtr * params_.gatesPerTransistor;
+    return hoursToCo2Kg(designHours(comm_gates, comm_node_nm)) /
+           params_.systemVolume;
 }
 
 } // namespace ecochip

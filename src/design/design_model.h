@@ -143,6 +143,14 @@ class DesignModel
         const std::function<DesignBreakdown(const Chiplet &)>
             &chiplet_design) const;
 
+    /**
+     * Eq. 12's Cdes,comm / NS: the design carbon per part of
+     * @p comm_transistors_mtr of communication IP designed at
+     * @p comm_node_nm.
+     */
+    double commDesignCo2Kg(double comm_transistors_mtr,
+                           double comm_node_nm) const;
+
   private:
     /** Eq. 13 total design hours for a gate count at a node. */
     double designHours(double gates_mgates, double node_nm) const;

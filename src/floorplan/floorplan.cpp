@@ -396,30 +396,46 @@ Floorplanner::plan(const SystemSpec &system, const TechDb &tech) const
     return plan(planarBoxes(system, tech));
 }
 
-std::vector<ChipletBox>
-planarBoxes(const SystemSpec &system, const TechDb &tech)
+std::vector<PlanarUnit>
+planarUnits(const SystemSpec &system)
 {
-    std::vector<ChipletBox> boxes;
-    std::vector<std::string> seen_groups;
-    for (const auto &chiplet : system.chiplets) {
-        if (chiplet.stackGroup.empty()) {
-            boxes.push_back(
-                {chiplet.name, chiplet.areaMm2(tech), 1.0});
+    std::vector<PlanarUnit> units;
+    const std::size_t n = system.chiplets.size();
+    units.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string &group = system.chiplets[i].stackGroup;
+        if (group.empty()) {
+            units.push_back({system.chiplets[i].name, i, {}});
             continue;
         }
         bool seen = false;
-        for (const auto &group : seen_groups)
-            seen |= group == chiplet.stackGroup;
+        for (const auto &unit : units)
+            seen |= unit.stacked() && unit.label == group;
         if (seen)
             continue;
-        seen_groups.push_back(chiplet.stackGroup);
-        double footprint = 0.0;
-        for (const auto &member : system.chiplets)
-            if (member.stackGroup == chiplet.stackGroup)
-                footprint =
-                    std::max(footprint, member.areaMm2(tech));
-        boxes.push_back({chiplet.stackGroup, footprint, 1.0});
+        PlanarUnit unit{group, i, {}};
+        for (std::size_t k = i; k < n; ++k)
+            if (system.chiplets[k].stackGroup == group)
+                unit.members.push_back(k);
+        units.push_back(std::move(unit));
     }
+    return units;
+}
+
+std::vector<ChipletBox>
+planarBoxes(const SystemSpec &system, const TechDb &tech)
+{
+    auto area_of = [&](std::size_t i) {
+        return system.chiplets[i].areaMm2(tech);
+    };
+    const std::vector<PlanarUnit> units = planarUnits(system);
+    std::vector<ChipletBox> boxes;
+    boxes.reserve(units.size());
+    for (const PlanarUnit &unit : units)
+        boxes.push_back({unit.label,
+                         unit.stacked() ? footprintMm2(unit, area_of)
+                                        : area_of(unit.first),
+                         1.0});
     return boxes;
 }
 

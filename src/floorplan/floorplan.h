@@ -17,6 +17,8 @@
 #ifndef ECOCHIP_FLOORPLAN_FLOORPLAN_H
 #define ECOCHIP_FLOORPLAN_FLOORPLAN_H
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -167,6 +169,47 @@ class Floorplanner
     bool exhaustiveCombine_ = false;
     std::vector<double> aspectCandidates_ = {1.0};
 };
+
+/**
+ * One unit of a system's planar floorplan: a planar chiplet, or a
+ * vertical stack group placed at its first member's position.
+ */
+struct PlanarUnit
+{
+    /** Chiplet name, or the stack group's name. */
+    std::string label;
+
+    /** Index of the chiplet, or of the group's first member. */
+    std::size_t first = 0;
+
+    /** A stack group's member indices in system order; empty for a
+     *  planar chiplet. */
+    std::vector<std::size_t> members;
+
+    bool stacked() const { return !members.empty(); }
+};
+
+/**
+ * The planar units of @p system in order of first appearance: every
+ * chiplet without a stack group, and every stack group once, at its
+ * first member. This is the one walk over stack groups; the
+ * floorplan boxes, the package model and both kernels read it.
+ */
+std::vector<PlanarUnit> planarUnits(const SystemSpec &system);
+
+/**
+ * Widest member of stack @p unit under @p area_of (chiplet index ->
+ * mm^2), in member order: the stack's footprint.
+ */
+template <class AreaOf>
+double
+footprintMm2(const PlanarUnit &unit, const AreaOf &area_of)
+{
+    double footprint_mm2 = 0.0;
+    for (std::size_t member : unit.members)
+        footprint_mm2 = std::max(footprint_mm2, area_of(member));
+    return footprint_mm2;
+}
 
 /**
  * Boxes for the planar floorplan of a system: planar chiplets one

@@ -1,17 +1,11 @@
 #include "kernels/batch_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <type_traits>
 #include <utility>
 
-#include "design/design_model.h"
-#include "manufacture/mfg_model.h"
-#include "manufacture/nre_model.h"
-#include "noc/router_model.h"
-#include "operation/operational_model.h"
-#include "package/package_model.h"
+#include "kernels/plan_models.h"
 #include "support/error.h"
 #include "support/units.h"
 #include "yield/yield_model.h"
@@ -99,12 +93,10 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
                 chiplet.areaMm2(tech), chiplet.nodeNm)));
     }
 
-    // --- Packaging. ---
-    PackageModel pkgModel(tech, mfgModel, config.package);
+    // --- Packaging (after the dies, as in EcoChip::estimate). ---
+    const PlanModels models(config, tech, system, mfgModel);
     const PackageParams &pp = config.package;
     monolithic_ = system.isMonolithic();
-    RouterModel router(tech, pp.router);
-    PhyModel phy(tech, pp.router.flitWidthBits);
     double noc_power_w = 0.0;
 
     auto makePat = [&](int layers, double epla_kwh_per_cm2,
@@ -113,186 +105,96 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
         PatterningTerm pat;
         pat.areaCm2 = area_mm2 * units::kCm2PerMm2;
         pat.energyKwh =
-            layers * epla_kwh_per_cm2 * pat.areaCm2;
+            patterningEnergyKwh(layers, epla_kwh_per_cm2, pat.areaCm2);
         pat.d0Derate = d0_derate;
         pat.d0 = d0Lookup(node_nm);
         return pat;
     };
-    auto makeSubstrate = [&](double area_mm2) {
-        return makePat(pp.substrateBaseLayers,
-                       tech.eplaRdlKwhPerCm2(pp.rdlNodeNm),
-                       area_mm2, tech.rdlDefectDerate(),
-                       pp.rdlNodeNm);
-    };
-    auto makeBond = [&](double footprint_mm2, int nt) {
-        const double pitch_um = pp.bondPitchUm();
-        const double vias = std::floor(
-            footprint_mm2 * units::kUm2PerMm2 /
-            (pitch_um * pitch_um));
-        const double bond_events = vias * (nt - 1);
-        BondTerm bond;
-        bond.yield =
-            bondArrayYield(bond_events,
-                           pp.bondFailProbability()) *
-            std::pow(pp.tierAssemblyYield, nt - 1);
-        bond.energyKwh = vias * pp.bondEnergyFactor() *
-                         tech.energyPerTsvKwh(
-                             pp.bondProcessNodeNm);
-        return bond;
-    };
-    auto addCommTerms = [&](bool use_phy) {
-        const double bit_rate_hz =
-            pp.nocFlitRateHz * pp.router.flitWidthBits;
-        for (std::size_t i = 0; i < system.chiplets.size();
-             ++i) {
-            const Chiplet &chiplet = system.chiplets[i];
-            const double added_mm2 =
-                use_phy ? phy.areaMm2(chiplet.nodeNm)
-                        : router.areaMm2(chiplet.nodeNm);
-            if (added_mm2 > 0.0)
-                commTerms_.push_back(
-                    {mfgDies_[i],
-                     internDie(makeDieTerm(
-                         chiplet.areaMm2(tech) + added_mm2,
-                         chiplet.nodeNm))});
-            noc_power_w +=
-                use_phy
-                    ? phy.powerW(chiplet.nodeNm, bit_rate_hz)
-                    : router.powerW(chiplet.nodeNm,
-                                    pp.nocFlitRateHz);
-        }
-    };
 
     if (!monolithic_) {
+        const std::size_t n = system.chiplets.size();
+        auto area_of = [&](std::size_t i) {
+            return system.chiplets[i].areaMm2(tech);
+        };
+        FloorplanResult fp;
         if (arch_ == PackagingArch::Stack3d) {
-            double footprint_mm2 = 0.0;
-            for (const auto &chiplet : system.chiplets)
-                footprint_mm2 = std::max(
-                    footprint_mm2, chiplet.areaMm2(tech));
-            mainBond_ = makeBond(
-                footprint_mm2,
-                static_cast<int>(system.chiplets.size()));
-            substratePat_ = makeSubstrate(footprint_mm2);
-            hasSubstrate_ = true;
-            addCommTerms(false);
+            pkgAreaMm2_ = footprintMm2(models.stacks.front(), area_of);
         } else {
-            const FloorplanResult fp =
-                pkgModel.floorplan(system);
-            const double pkg_area_mm2 = fp.areaMm2();
-            switch (arch_) {
-              case PackagingArch::RdlFanout:
-                archPat_ = makePat(
-                    pp.rdlLayers,
-                    tech.eplaRdlKwhPerCm2(pp.rdlNodeNm),
-                    pkg_area_mm2, tech.rdlDefectDerate(),
-                    pp.rdlNodeNm);
-                addCommTerms(true);
-                break;
-              case PackagingArch::SiliconBridge: {
-                int bridges = 0;
-                for (const auto &adj : fp.adjacencies) {
-                    bridges += std::max(
-                        1, static_cast<int>(std::ceil(
-                               adj.overlapMm /
-                               pp.bridgeRangeMm)));
-                }
-                bridges = std::max(
-                    bridges,
-                    static_cast<int>(system.chiplets.size()) -
-                        1);
-                bridges_ = bridges;
-                archPat_ = makePat(
-                    pp.bridgeLayers,
-                    tech.eplaBridgeKwhPerCm2(pp.bridgeNodeNm),
-                    pp.bridgeAreaMm2, 1.0, pp.bridgeNodeNm);
-                embedYield_ =
-                    std::pow(pp.bridgeEmbedYield, bridges);
-                substratePat_ = makeSubstrate(pkg_area_mm2);
-                hasSubstrate_ = true;
-                addCommTerms(true);
-                break;
-              }
-              case PackagingArch::PassiveInterposer:
-              case PackagingArch::ActiveInterposer: {
-                const bool active =
-                    arch_ == PackagingArch::ActiveInterposer;
-                const double node = pp.interposerNodeNm;
-                archPat_ = makePat(
-                    pp.interposerBeolLayers,
-                    tech.eplaInterposerKwhPerCm2(node),
-                    pkg_area_mm2,
-                    active ? 1.0
-                           : tech.interposerDefectDerate(),
-                    node);
-                const double wasted_mm2 =
-                    mfgModel.includeWastage()
-                        ? config.wafer.wastedAreaPerDieMm2(
-                              pkg_area_mm2)
-                        : 0.0;
-                wastageCo2Kg_ = tech.cfpaSiKgPerCm2(node) *
-                                wasted_mm2 *
-                                units::kCm2PerMm2;
-                substratePat_ = makeSubstrate(pkg_area_mm2);
-                hasSubstrate_ = true;
-                if (active) {
-                    feolDerate_ = tech.equipmentDerate(node);
-                    feolCgas_ = tech.cgasKgPerCm2(node);
-                    feolCmaterial_ =
-                        tech.cmaterialKgPerCm2(node);
-                    feolEpa_ = epaLookup(node);
-                    routerAreaMm2_ =
-                        router.areaMm2(node) *
-                        static_cast<double>(
-                            system.chiplets.size());
-                    repeaterAreaMm2_ =
-                        pp.repeaterAreaFraction *
-                        pkg_area_mm2;
-                    noc_power_w =
-                        router.powerW(node,
-                                      pp.nocFlitRateHz) *
-                        static_cast<double>(
-                            system.chiplets.size());
-                } else {
-                    addCommTerms(false);
-                }
-                break;
-              }
-              case PackagingArch::Stack3d:
-                // Handled before the floorplan branch.
-                break;
+            fp = models.package.floorplan(system);
+            pkgAreaMm2_ = fp.areaMm2();
+        }
+        switch (arch_) {
+          case PackagingArch::RdlFanout:
+            archPat_ = makePat(pp.rdlLayers,
+                               tech.eplaRdlKwhPerCm2(pp.rdlNodeNm),
+                               pkgAreaMm2_, tech.rdlDefectDerate(),
+                               pp.rdlNodeNm);
+            break;
+          case PackagingArch::SiliconBridge:
+            bridges_ =
+                bridgeCount(fp.adjacencies, pp.bridgeRangeMm, n);
+            archPat_ = makePat(
+                pp.bridgeLayers,
+                tech.eplaBridgeKwhPerCm2(pp.bridgeNodeNm),
+                pp.bridgeAreaMm2, 1.0, pp.bridgeNodeNm);
+            embedYield_ =
+                bridgeEmbedYield(pp.bridgeEmbedYield, bridges_);
+            break;
+          case PackagingArch::PassiveInterposer:
+          case PackagingArch::ActiveInterposer: {
+            const bool active =
+                arch_ == PackagingArch::ActiveInterposer;
+            const double node = pp.interposerNodeNm;
+            archPat_ = makePat(
+                pp.interposerBeolLayers,
+                tech.eplaInterposerKwhPerCm2(node), pkgAreaMm2_,
+                active ? 1.0 : tech.interposerDefectDerate(), node);
+            wastageCo2Kg_ = wastageCo2Kg(
+                tech.cfpaSiKgPerCm2(node),
+                mfgModel.includeWastage()
+                    ? mfgModel.wafer().wastedAreaPerDieMm2(
+                          pkgAreaMm2_)
+                    : 0.0);
+            if (active) {
+                feolDerate_ = tech.equipmentDerate(node);
+                feolCgas_ = tech.cgasKgPerCm2(node);
+                feolCmaterial_ = tech.cmaterialKgPerCm2(node);
+                feolEpa_ = epaLookup(node);
+                const CommOverhead comm =
+                    models.package.interposerComm(n);
+                routerAreaMm2_ = comm.areaMm2;
+                repeaterFraction_ = pp.repeaterAreaFraction;
+                noc_power_w = comm.powerW;
             }
-
-            // Mixed 2.5D/3D stack groups, first-appearance
-            // order (matches PackageModel::evaluate).
-            std::vector<std::string> groups;
-            for (const auto &chiplet : system.chiplets) {
-                if (chiplet.stackGroup.empty())
-                    continue;
-                bool seen = false;
-                for (const auto &group : groups)
-                    seen |= group == chiplet.stackGroup;
-                if (!seen)
-                    groups.push_back(chiplet.stackGroup);
-            }
-            for (const auto &group : groups) {
-                int tiers = 0;
-                double footprint_mm2 = 0.0;
-                for (const auto &chiplet : system.chiplets) {
-                    if (chiplet.stackGroup != group)
-                        continue;
-                    ++tiers;
-                    footprint_mm2 = std::max(
-                        footprint_mm2,
-                        chiplet.areaMm2(tech));
-                }
-                if (tiers < 2)
-                    requireConfig(false,
-                                  "stack group \"" + group +
-                                      "\" needs at least two tiers");
-                stackBonds_.push_back(
-                    makeBond(footprint_mm2, tiers));
+            break;
+          }
+          case PackagingArch::Stack3d:
+            break;
+        }
+        if (arch_ != PackagingArch::RdlFanout)
+            substratePat_ = makePat(
+                pp.substrateBaseLayers,
+                tech.eplaRdlKwhPerCm2(pp.rdlNodeNm), pkgAreaMm2_,
+                tech.rdlDefectDerate(), pp.rdlNodeNm);
+        if (arch_ != PackagingArch::ActiveInterposer) {
+            for (std::size_t i = 0; i < n; ++i) {
+                const Chiplet &chiplet = system.chiplets[i];
+                const CommOverhead comm =
+                    models.package.chipletComm(chiplet.nodeNm);
+                if (comm.areaMm2 > 0.0)
+                    commTerms_.push_back(
+                        {mfgDies_[i],
+                         internDie(makeDieTerm(
+                             area_of(i) + comm.areaMm2,
+                             chiplet.nodeNm))});
+                noc_power_w += comm.powerW;
             }
         }
+        for (const PlanarUnit &stack : models.stacks)
+            stackBonds_.push_back(stackBond(
+                footprintMm2(stack, area_of),
+                static_cast<int>(stack.members.size()),
+                models.bond));
     }
 
     // --- Intensities the trial scales multiply. ---
@@ -301,12 +203,10 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
     designIntensityBase_ = config.design.intensityGPerKwh;
 
     // --- Design (Eqs. 12-13). ---
-    DesignModel designModel(tech, config.design);
-    sprBase_ = config.design.sprHoursPerMgate;
-    designIterBase_ =
-        static_cast<double>(config.design.designIterations);
-    analyzeFraction_ = config.design.analyzeFraction;
-    verifMultiple_ = config.design.verifMultiple;
+    effortBase_ = {config.design.sprHoursPerMgate,
+                   config.design.analyzeFraction,
+                   static_cast<double>(config.design.designIterations),
+                   config.design.verifMultiple};
     pdesW_ = config.design.pdesW;
     chipletVolumeBase_ = config.design.chipletVolume;
     systemVolume_ = config.design.systemVolume;
@@ -316,44 +216,23 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
         designTerms_.push_back(
             {chiplet.transistorsMtr *
                  config.design.gatesPerTransistor,
-             designModel.edaProductivityFit(chiplet.nodeNm)});
+             models.design.edaProductivityFit(chiplet.nodeNm)});
     }
-    double comm_mtr = 0.0;
-    double comm_node_nm = pp.interposerNodeNm;
-    if (!system.isMonolithic()) {
-        const double nc =
-            static_cast<double>(system.chiplets.size());
-        switch (arch_) {
-          case PackagingArch::RdlFanout:
-          case PackagingArch::SiliconBridge:
-            comm_mtr = phy.transistorsMtr() * nc;
-            comm_node_nm = system.chiplets.front().nodeNm;
-            break;
-          case PackagingArch::PassiveInterposer:
-          case PackagingArch::Stack3d:
-            comm_mtr = router.transistorsMtr() * nc;
-            comm_node_nm = system.chiplets.front().nodeNm;
-            break;
-          case PackagingArch::ActiveInterposer:
-            comm_mtr = router.transistorsMtr() * nc;
-            comm_node_nm = pp.interposerNodeNm;
-            break;
-        }
-    }
-    hasComm_ = comm_mtr > 0.0;
+    const CommIp comm =
+        monolithic_ ? CommIp{}
+                    : models.package.commIp(
+                          system.chiplets.size(),
+                          system.chiplets.front().nodeNm);
+    hasComm_ = comm.transistorsMtr > 0.0;
     if (hasComm_) {
         commGates_ =
-            comm_mtr * config.design.gatesPerTransistor;
-        commEtaC_ = designModel.edaProductivityFit(comm_node_nm);
+            comm.transistorsMtr * config.design.gatesPerTransistor;
+        commEtaC_ = models.design.edaProductivityFit(comm.nodeNm);
     }
 
     // --- Mask-set NRE. ---
     includeNre_ = config.includeMaskNre;
     if (includeNre_) {
-        NreCarbonModel nreModel(tech,
-                                config.fabIntensityGPerKwh,
-                                config.design.chipletVolume);
-        static_cast<void>(nreModel);
         if (system.singleDie) {
             maskSetEnergiesKwh_.push_back(
                 tech.maskSetEnergyKwh(
@@ -368,7 +247,6 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
     }
 
     // --- Operation (Eq. 14). ---
-    OperationalModel opModel(tech, config.operating);
     const OperatingSpec &os = config.operating;
     annualPath_ = os.annualEnergyKwh.has_value();
     extraPowerW_ = noc_power_w;
@@ -376,7 +254,7 @@ BatchEvaluator::BatchEvaluator(const EcoChipConfig &config,
         annualEnergyKwh_ = *os.annualEnergyKwh;
     else
         avgPowerBaseW_ =
-            opModel.systemPowerW(system, noc_power_w);
+            models.operation.systemPowerW(system, noc_power_w);
     lifetimeBase_ = os.lifetimeYears;
     dutyCycleBase_ = os.dutyCycle;
     useIntensity_ = os.useIntensityGPerKwh;
@@ -391,13 +269,22 @@ BatchEvaluator::dieTotalCo2Kg(const DieTerm &term, double s_d0,
     const double d0 = term.d0.eval(s_d0, rebuild_d0);
     const double yield =
         dieYieldFast(yieldKind_, term.areaCm2, d0, alpha_);
-    const double energy = term.derate * fab_t *
-                          units::kKgPerG *
-                          term.epa.eval(s_epa, rebuild_epa);
     const double cfpa =
-        (energy + term.cgas + term.cmaterial) / yield;
+        grossCfpaKgPerCm2(term.derate, fab_t,
+                          term.epa.eval(s_epa, rebuild_epa),
+                          term.cgas, term.cmaterial) /
+        yield;
     return cfpa * term.areaMm2 * units::kCm2PerMm2 +
            term.wastedCo2Kg;
+}
+
+double
+BatchEvaluator::patterningYield(const PatterningTerm &pat,
+                                double s_d0, bool rebuild_d0) const
+{
+    return negativeBinomialYieldFast(
+        pat.areaCm2, pat.d0Derate * pat.d0.eval(s_d0, rebuild_d0),
+        alpha_);
 }
 
 std::size_t
@@ -414,17 +301,6 @@ BatchEvaluator::internDie(const DieTerm &term)
     dies_.push_back(term);
     return dies_.size() - 1;
 }
-
-namespace {
-
-double
-patterningYield(const double area_cm2, const double d0,
-                const double alpha)
-{
-    return negativeBinomialYieldFast(area_cm2, d0, alpha);
-}
-
-} // namespace
 
 void
 BatchEvaluator::evaluateRange(const TrialBatch &batch,
@@ -450,12 +326,10 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
         const double des_t =
             designIntensityBase_ *
             batch.designIntensityScale[i];
-        const double spr_t =
-            sprBase_ * batch.sprHoursScale[i];
-        const double iters =
-            batch.designIterations[i] != 0.0
-                ? batch.designIterations[i]
-                : designIterBase_;
+        DesignEffort effort = effortBase_;
+        effort.sprHoursPerMgate *= batch.sprHoursScale[i];
+        if (batch.designIterations[i] != 0.0)
+            effort.iterations = batch.designIterations[i];
         const double vol_t =
             chipletVolumeBase_ * batch.chipletVolumeScale[i];
         if (vol_t < 1.0)
@@ -478,97 +352,49 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
         double package_co2 = 0.0;
         double routing_co2 = 0.0;
         if (!monolithic_) {
+            auto patterning = [&](const PatterningTerm &pat,
+                                  double yield) {
+                return packagingCo2Kg(pkg_t, pat.energyKwh, yield);
+            };
+            auto substrate = [&] {
+                return patterning(
+                    substratePat_,
+                    patterningYield(substratePat_, s_d0, rb_d0));
+            };
             switch (arch_) {
-              case PackagingArch::RdlFanout: {
-                const double yield = patterningYield(
-                    archPat_.areaCm2,
-                    archPat_.d0Derate *
-                        archPat_.d0.eval(s_d0, rb_d0),
-                    alpha_);
-                package_co2 = pkg_t * archPat_.energyKwh *
-                              units::kKgPerG / yield;
+              case PackagingArch::RdlFanout:
+                package_co2 = patterning(
+                    archPat_, patterningYield(archPat_, s_d0, rb_d0));
                 break;
-              }
-              case PackagingArch::SiliconBridge: {
-                const double bridge_yield = patterningYield(
-                    archPat_.areaCm2,
-                    archPat_.d0Derate *
-                        archPat_.d0.eval(s_d0, rb_d0),
-                    alpha_);
-                const double per_bridge =
-                    pkg_t * archPat_.energyKwh *
-                    units::kKgPerG / bridge_yield;
-                const double substrate_yield =
-                    patterningYield(
-                        substratePat_.areaCm2,
-                        substratePat_.d0Derate *
-                            substratePat_.d0.eval(s_d0, rb_d0),
-                        alpha_);
-                const double substrate =
-                    pkg_t * substratePat_.energyKwh *
-                    units::kKgPerG / substrate_yield;
-                package_co2 =
-                    (substrate + bridges_ * per_bridge) /
-                    embedYield_;
+              case PackagingArch::SiliconBridge:
+                package_co2 = bridgePackageCo2Kg(
+                    substrate(), bridges_,
+                    patterning(archPat_,
+                               patterningYield(archPat_, s_d0, rb_d0)),
+                    embedYield_);
                 break;
-              }
               case PackagingArch::PassiveInterposer:
               case PackagingArch::ActiveInterposer: {
-                const double beol_yield = patterningYield(
-                    archPat_.areaCm2,
-                    archPat_.d0Derate *
-                        archPat_.d0.eval(s_d0, rb_d0),
-                    alpha_);
-                const double beol = pkg_t *
-                                    archPat_.energyKwh *
-                                    units::kKgPerG /
-                                    beol_yield;
-                const double substrate_yield =
-                    patterningYield(
-                        substratePat_.areaCm2,
-                        substratePat_.d0Derate *
-                            substratePat_.d0.eval(s_d0, rb_d0),
-                        alpha_);
-                const double substrate =
-                    pkg_t * substratePat_.energyKwh *
-                    units::kKgPerG / substrate_yield;
-                package_co2 =
-                    beol + wastageCo2Kg_ + substrate;
-                if (arch_ ==
-                    PackagingArch::ActiveInterposer) {
-                    const double feol_energy =
-                        feolDerate_ * fab_t *
-                        units::kKgPerG *
-                        feolEpa_.eval(s_epa, rb_epa);
-                    const double feol_cfpa =
-                        (feol_energy + feolCgas_ +
-                         feolCmaterial_) /
-                        beol_yield;
-                    routing_co2 = feol_cfpa *
-                                  routerAreaMm2_ *
-                                  units::kCm2PerMm2;
-                    package_co2 += feol_cfpa *
-                                   repeaterAreaMm2_ *
-                                   units::kCm2PerMm2;
+                const double beol_yield =
+                    patterningYield(archPat_, s_d0, rb_d0);
+                package_co2 = patterning(archPat_, beol_yield) +
+                              wastageCo2Kg_ + substrate();
+                if (arch_ == PackagingArch::ActiveInterposer) {
+                    const ActiveFeol feol = activeFeolCo2Kg(
+                        grossCfpaKgPerCm2(
+                            feolDerate_, fab_t,
+                            feolEpa_.eval(s_epa, rb_epa), feolCgas_,
+                            feolCmaterial_),
+                        beol_yield, routerAreaMm2_,
+                        repeaterFraction_, pkgAreaMm2_);
+                    routing_co2 = feol.routerCo2Kg;
+                    package_co2 += feol.repeaterCo2Kg;
                 }
                 break;
               }
-              case PackagingArch::Stack3d: {
-                const double bonds =
-                    pkg_t * mainBond_.energyKwh *
-                    units::kKgPerG / mainBond_.yield;
-                const double substrate_yield =
-                    patterningYield(
-                        substratePat_.areaCm2,
-                        substratePat_.d0Derate *
-                            substratePat_.d0.eval(s_d0, rb_d0),
-                        alpha_);
-                const double substrate =
-                    pkg_t * substratePat_.energyKwh *
-                    units::kKgPerG / substrate_yield;
-                package_co2 = bonds + substrate;
+              case PackagingArch::Stack3d:
+                package_co2 = substrate();
                 break;
-              }
             }
 
             for (const auto &comm : commTerms_)
@@ -577,9 +403,9 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
 
             if (!stackBonds_.empty()) {
                 double stack_co2 = 0.0;
-                for (const auto &bond : stackBonds_)
-                    stack_co2 += pkg_t * bond.energyKwh *
-                                 units::kKgPerG / bond.yield;
+                for (const StackBond &bond : stackBonds_)
+                    stack_co2 += packagingCo2Kg(
+                        pkg_t, bond.energyKwh, bond.yield);
                 package_co2 += stack_co2;
             }
         }
@@ -587,32 +413,18 @@ BatchEvaluator::evaluateRange(const TrialBatch &batch,
 
         // Design (Eqs. 12-13).
         double design_co2 = 0.0;
-        for (const auto &term : designTerms_) {
-            const double spr = spr_t * term.gates;
-            const double analyze = analyzeFraction_ * spr;
-            const double iterative =
-                (spr + analyze) * iters / term.etaC;
-            const double hours =
-                verifMultiple_ * iterative + iterative;
-            const double energy =
-                hours * pdesW_ * units::kKwhPerWh;
-            const double co2 =
-                des_t * energy * units::kKgPerG;
-            design_co2 += co2 / vol_t;
-        }
-        if (hasComm_) {
-            const double spr = spr_t * commGates_;
-            const double analyze = analyzeFraction_ * spr;
-            const double iterative =
-                (spr + analyze) * iters / commEtaC_;
-            const double hours =
-                verifMultiple_ * iterative + iterative;
-            const double energy =
-                hours * pdesW_ * units::kKwhPerWh;
-            const double comm_co2 =
-                des_t * energy * units::kKgPerG;
-            design_co2 += comm_co2 / systemVolume_;
-        }
+        for (const auto &term : designTerms_)
+            design_co2 +=
+                designCo2Kg(designHours(effort, term.gates,
+                                        term.etaC),
+                            pdesW_, des_t) /
+                vol_t;
+        if (hasComm_)
+            design_co2 +=
+                designCo2Kg(designHours(effort, commGates_,
+                                        commEtaC_),
+                            pdesW_, des_t) /
+                systemVolume_;
 
         // Mask-set NRE (Sec. V-C extension).
         double nre_co2 = 0.0;

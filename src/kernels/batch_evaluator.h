@@ -16,9 +16,13 @@
  * operational, total) outputs are bit-identical to building the
  * scaled config/tech the way MonteCarloAnalyzer::evaluateTrial and
  * SensitivityAnalyzer's parameter closures do and calling
- * EcoChip::estimate on a fresh estimator. The kernel guarantees
- * this by replicating the scalar models' floating-point expression
- * trees exactly; tests/test_kernels.cpp locks the contract with
+ * EcoChip::estimate on a fresh estimator. The equations are not
+ * restated here: every packaging, silicon and design term is a
+ * call into package/carbon_terms.h, the same functions the scalar
+ * models call. This evaluator only hoists their inputs -- the
+ * scenario invariants at construction (through PlanModels, shared
+ * with SweepEvaluator), the scaled intensities, effort and yields
+ * per trial. tests/test_kernels.cpp locks the contract with
  * byte-compare golden tests. Interpolation-table rebuilds are
  * reproduced through hoisted PiecewiseLinear::segment() knots: a
  * rebuilt table's eval is (s*yLo) + t*((s*yHi) - (s*yLo)) on the
@@ -44,6 +48,7 @@
 
 #include "core/ecochip.h"
 #include "kernels/trial_batch.h"
+#include "package/carbon_terms.h"
 #include "support/interp.h"
 
 namespace ecochip {
@@ -135,13 +140,6 @@ class BatchEvaluator
         ScaledLookup d0;
     };
 
-    /** Invariants of one vertical-stack bond carbon term. */
-    struct BondTerm
-    {
-        double energyKwh = 0.0;
-        double yield = 1.0;
-    };
-
     /** Per-chiplet design-carbon invariants (non-reused only). */
     struct DesignTerm
     {
@@ -152,6 +150,10 @@ class BatchEvaluator
     double dieTotalCo2Kg(const DieTerm &term, double s_d0,
                          bool rebuild_d0, double s_epa,
                          bool rebuild_epa, double fab_t) const;
+
+    /** Negative-binomial yield of one patterned layer stack. */
+    double patterningYield(const PatterningTerm &pat, double s_d0,
+                           bool rebuild_d0) const;
 
     /** Index of @p term in dies_, appending it if it is new. */
     std::size_t internDie(const DieTerm &term);
@@ -169,21 +171,21 @@ class BatchEvaluator
     PackagingArch arch_;
     bool monolithic_ = false;
     std::vector<CommTerm> commTerms_;
+    double pkgAreaMm2_ = 0.0;     ///< outline, or 3D footprint
     PatterningTerm archPat_;      ///< RDL / bridge / beol term
     PatterningTerm substratePat_; ///< organic base substrate
-    bool hasSubstrate_ = false;
     int bridges_ = 0;
     double embedYield_ = 1.0;
     double wastageCo2Kg_ = 0.0;
-    BondTerm mainBond_;
-    std::vector<BondTerm> stackBonds_;
+    /** The 3D tower, or each stack group of a 2.5D package. */
+    std::vector<StackBond> stackBonds_;
     // Active-interposer FEOL (router + repeater regions).
     double feolDerate_ = 0.0;
     double feolCgas_ = 0.0;
     double feolCmaterial_ = 0.0;
     ScaledLookup feolEpa_;
     double routerAreaMm2_ = 0.0;
-    double repeaterAreaMm2_ = 0.0;
+    double repeaterFraction_ = 0.0;
 
     // --- intensities (baseline values the scales multiply) ---
     double fabIntensityBase_ = 0.0;
@@ -192,10 +194,9 @@ class BatchEvaluator
 
     // --- design ---
     std::vector<DesignTerm> designTerms_;
-    double sprBase_ = 0.0;
-    double designIterBase_ = 0.0;
-    double analyzeFraction_ = 0.0;
-    double verifMultiple_ = 0.0;
+    /** Baseline Eq. 13 effort; a trial scales SP&R and may
+     *  replace the iteration count. */
+    DesignEffort effortBase_;
     double pdesW_ = 0.0;
     double chipletVolumeBase_ = 0.0;
     double systemVolume_ = 0.0;

@@ -1,17 +1,10 @@
 #include "kernels/sweep_evaluator.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
-#include "design/design_model.h"
 #include "floorplan/floorplan.h"
-#include "manufacture/mfg_model.h"
-#include "manufacture/nre_model.h"
-#include "noc/router_model.h"
-#include "operation/operational_model.h"
-#include "package/package_model.h"
+#include "kernels/plan_models.h"
 #include "support/error.h"
 #include "support/units.h"
 #include "wafer/wafer_model.h"
@@ -86,11 +79,13 @@ struct SweepEvaluator::Plan
     double pkgIntensity = 0.0;
     double spacingMm = 0.0;
 
-    // Layered-patterning invariants at the fixed packaging nodes:
-    // (layers * EPLA) energy prefactors and defect densities.
-    double archLayersEpla = 0.0;
+    // Layered patterning at the fixed packaging nodes: layer
+    // counts, EPLAs and defect densities.
+    int archLayers = 0;
+    double archEpla = 0.0;
     double archD0 = 0.0;
-    double subLayersEpla = 0.0;
+    int subLayers = 0;
+    double subEpla = 0.0;
     double subD0 = 0.0;
 
     // Silicon bridge: the per-bridge patterning carbon and bridge
@@ -104,25 +99,15 @@ struct SweepEvaluator::Plan
     bool includeWastage = false;
     WaferModel wafer;
     double cfpaSiKgPerCm2 = 0.0;
-    double grossCfpaKgPerCm2 = 0.0;  ///< active FEOL, gross
-    double routerAreaTotalMm2 = 0.0; ///< active: all routers
+    double grossCfpaKgPerCm2 = 0.0; ///< active FEOL, gross
+    CommOverhead interposerComm;    ///< active: all routers
     double repeaterFraction = 0.0;
-    double activeCommPowerW = 0.0;
 
-    // Vertical bonds.
-    double bondPitchSqUm2 = 1.0;
-    double bondFailProbability = 0.0;
-    double bondEnergyFactor = 0.0;
-    double energyPerTsvKwh = 0.0;
-    double tierYieldPowAll = 1.0; ///< 3D: all chiplets stacked
-
-    std::vector<GroupTerm> groups; ///< 2.5D stack groups
-    std::vector<BoxTerm> boxes;    ///< planarBoxes() replica
-
-    // Design.
-    bool hasComm = false;
-    bool activeComm = false;
-    double commDesignActiveCo2Kg = 0.0;
+    /** Floorplan units (planarUnits()); empty for 3D. */
+    std::vector<PlanarUnit> units;
+    /** Bonded stacks (bondedStacks()) and their invariants. */
+    std::vector<PlanarUnit> stacks;
+    BondParams bond;
 
     bool includeNre = false;
 
@@ -169,21 +154,12 @@ SweepEvaluator::compile(
     const TechDb &tech = estimator_->tech_;
     const PackageParams &pp = config.package;
     const std::size_t n = system.chiplets.size();
-    const double nc = static_cast<double>(n);
 
-    // Constructing the scalar models up front reproduces every
-    // configuration validation (same exceptions, same messages) the
-    // scalar path would raise on the first point.
     ManufacturingModel mfg(tech, config.wafer,
                            config.fabIntensityGPerKwh,
                            config.yieldModel);
     mfg.setIncludeWastage(config.includeWastage);
-    const PackageModel packageModel(tech, mfg, pp);
-    static_cast<void>(packageModel);
-    RouterModel router(tech, pp.router);
-    PhyModel phy(tech, pp.router.flitWidthBits);
-    DesignModel design(tech, config.design);
-    OperationalModel operation(tech, config.operating);
+    const PlanModels models(config, tech, system, mfg);
 
     auto plan = std::make_shared<Plan>();
     plan->reportPrefix = std::move(prefix);
@@ -195,44 +171,44 @@ SweepEvaluator::compile(
     // --- packaging invariants ---------------------------------
     // The organic base substrate under bridge/interposer/3D
     // packages: coarse RDL layers at the fixed RDL node.
-    plan->subLayersEpla = pp.substrateBaseLayers *
-                          tech.eplaRdlKwhPerCm2(pp.rdlNodeNm);
+    plan->subLayers = pp.substrateBaseLayers;
+    plan->subEpla = tech.eplaRdlKwhPerCm2(pp.rdlNodeNm);
     plan->subD0 = tech.rdlDefectDensityPerCm2(pp.rdlNodeNm);
     // Replicate the checked yield call's argument validation once.
     negativeBinomialYield(0.0, plan->subD0, plan->alpha);
 
     switch (pp.arch) {
       case PackagingArch::RdlFanout:
-        plan->archLayersEpla =
-            pp.rdlLayers * tech.eplaRdlKwhPerCm2(pp.rdlNodeNm);
+        plan->archLayers = pp.rdlLayers;
+        plan->archEpla = tech.eplaRdlKwhPerCm2(pp.rdlNodeNm);
         plan->archD0 = tech.rdlDefectDensityPerCm2(pp.rdlNodeNm);
         break;
       case PackagingArch::SiliconBridge: {
         plan->bridgeRangeMm = pp.bridgeRangeMm;
         plan->bridgeEmbedYield = pp.bridgeEmbedYield;
-        plan->bridgeYield = negativeBinomialYield(
-            pp.bridgeAreaMm2 * units::kCm2PerMm2,
-            tech.bridgeDefectDensityPerCm2(pp.bridgeNodeNm),
-            plan->alpha);
-        // One bridge's patterning carbon, exactly as the scalar
-        // layeredPatterningCo2Kg computes it.
-        if (!(plan->bridgeYield > 0.0 && plan->bridgeYield <= 1.0))
-            throw ModelError("package layer yield out of range");
         const double bridge_cm2 =
             pp.bridgeAreaMm2 * units::kCm2PerMm2;
-        const double bridge_kwh =
-            pp.bridgeLayers *
-            tech.eplaBridgeKwhPerCm2(pp.bridgeNodeNm) * bridge_cm2;
-        plan->bridgePerCo2Kg =
-            units::carbonKg(pp.intensityGPerKwh, bridge_kwh) /
-            plan->bridgeYield;
+        plan->bridgeYield = negativeBinomialYield(
+            bridge_cm2,
+            tech.bridgeDefectDensityPerCm2(pp.bridgeNodeNm),
+            plan->alpha);
+        requireModel(plan->bridgeYield > 0.0 &&
+                         plan->bridgeYield <= 1.0,
+                     "package layer yield out of range");
+        plan->bridgePerCo2Kg = packagingCo2Kg(
+            pp.intensityGPerKwh,
+            patterningEnergyKwh(
+                pp.bridgeLayers,
+                tech.eplaBridgeKwhPerCm2(pp.bridgeNodeNm),
+                bridge_cm2),
+            plan->bridgeYield);
         break;
       }
       case PackagingArch::PassiveInterposer:
       case PackagingArch::ActiveInterposer: {
         const double node = pp.interposerNodeNm;
-        plan->archLayersEpla = pp.interposerBeolLayers *
-                               tech.eplaInterposerKwhPerCm2(node);
+        plan->archLayers = pp.interposerBeolLayers;
+        plan->archEpla = tech.eplaInterposerKwhPerCm2(node);
         plan->archD0 =
             pp.arch == PackagingArch::ActiveInterposer
                 ? tech.defectDensityPerCm2(node)
@@ -243,129 +219,21 @@ SweepEvaluator::compile(
         plan->cfpaSiKgPerCm2 = tech.cfpaSiKgPerCm2(node);
         if (pp.arch == PackagingArch::ActiveInterposer) {
             plan->grossCfpaKgPerCm2 = mfg.grossCfpaKgPerCm2(node);
-            plan->routerAreaTotalMm2 = router.areaMm2(node) * nc;
+            plan->interposerComm = models.package.interposerComm(n);
             plan->repeaterFraction = pp.repeaterAreaFraction;
-            plan->activeCommPowerW =
-                router.powerW(node, pp.nocFlitRateHz) * nc;
         }
         break;
       }
       case PackagingArch::Stack3d:
         break;
     }
+    if (pp.arch != PackagingArch::Stack3d)
+        plan->units = planarUnits(system);
+    plan->stacks = models.stacks;
+    plan->bond = models.bond;
 
-    // Stack groups (2.5D) / whole-system tower (3D).
-    bool has_bonds = pp.arch == PackagingArch::Stack3d;
-    if (pp.arch == PackagingArch::Stack3d) {
-        plan->tierYieldPowAll = std::pow(
-            pp.tierAssemblyYield, static_cast<int>(n) - 1);
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::string &group =
-                system.chiplets[i].stackGroup;
-            if (group.empty())
-                continue;
-            bool seen = false;
-            for (const auto &g : plan->groups)
-                seen |= system.chiplets[g.members.front()]
-                            .stackGroup == group;
-            if (seen)
-                continue;
-            GroupTerm term;
-            for (std::size_t k = 0; k < n; ++k)
-                if (system.chiplets[k].stackGroup == group)
-                    term.members.push_back(k);
-            if (term.members.size() < 2)
-                requireConfig(false,
-                              "stack group \"" + group +
-                                  "\" needs at least two tiers");
-            term.tiers = static_cast<int>(term.members.size());
-            term.tierYieldPow =
-                std::pow(pp.tierAssemblyYield, term.tiers - 1);
-            plan->groups.push_back(std::move(term));
-            has_bonds = true;
-        }
-    }
-    if (has_bonds) {
-        const double pitch_um = pp.bondPitchUm();
-        plan->bondPitchSqUm2 = pitch_um * pitch_um;
-        plan->bondFailProbability = pp.bondFailProbability();
-        requireConfig(plan->bondFailProbability >= 0.0 &&
-                          plan->bondFailProbability < 1.0,
-                      "bond failure probability must be in [0, 1)");
-        plan->bondEnergyFactor = pp.bondEnergyFactor();
-        plan->energyPerTsvKwh =
-            tech.energyPerTsvKwh(pp.bondProcessNodeNm);
-    }
-
-    // Floorplan boxes in planarBoxes() order: planar chiplets by
-    // position, each stack group once at its first member.
-    if (pp.arch != PackagingArch::Stack3d) {
-        std::vector<std::string> seen_groups;
-        for (std::size_t i = 0; i < n; ++i) {
-            const Chiplet &chiplet = system.chiplets[i];
-            if (chiplet.stackGroup.empty()) {
-                plan->boxes.push_back({chiplet.name, {i}});
-                continue;
-            }
-            bool seen = false;
-            for (const auto &g : seen_groups)
-                seen |= g == chiplet.stackGroup;
-            if (seen)
-                continue;
-            seen_groups.push_back(chiplet.stackGroup);
-            BoxTerm box;
-            box.label = chiplet.stackGroup;
-            for (std::size_t k = 0; k < n; ++k)
-                if (system.chiplets[k].stackGroup ==
-                    chiplet.stackGroup)
-                    box.members.push_back(k);
-            plan->boxes.push_back(std::move(box));
-        }
-    }
-
-    // --- design / NRE / operation invariants ------------------
-    double comm_mtr = 0.0;
-    switch (pp.arch) {
-      case PackagingArch::RdlFanout:
-      case PackagingArch::SiliconBridge:
-        comm_mtr = phy.transistorsMtr() * nc;
-        break;
-      case PackagingArch::PassiveInterposer:
-      case PackagingArch::Stack3d:
-      case PackagingArch::ActiveInterposer:
-        comm_mtr = router.transistorsMtr() * nc;
-        break;
-    }
-    plan->hasComm = comm_mtr > 0.0;
-    plan->activeComm = pp.arch == PackagingArch::ActiveInterposer;
-
-    // Replicates DesignModel::systemDesignCo2Kg's communication-IP
-    // term for a given implementation node.
-    const DesignParams &dp = config.design;
-    auto commDesignTerm = [&](double node_nm) {
-        const double comm_gates =
-            comm_mtr * dp.gatesPerTransistor;
-        const double spr = dp.sprHoursPerMgate * comm_gates;
-        const double analyze = dp.analyzeFraction * spr;
-        const double iterative = (spr + analyze) *
-                                 dp.designIterations /
-                                 design.edaProductivityFit(node_nm);
-        const double verif = dp.verifMultiple * iterative;
-        const double hours = verif + iterative;
-        const double energy_kwh =
-            hours * dp.pdesW * units::kKwhPerWh;
-        const double comm_co2 =
-            units::carbonKg(dp.intensityGPerKwh, energy_kwh);
-        return comm_co2 / dp.systemVolume;
-    };
-    if (plan->hasComm && plan->activeComm)
-        plan->commDesignActiveCo2Kg =
-            commDesignTerm(pp.interposerNodeNm);
-
+    // --- NRE / operation invariants ---------------------------
     plan->includeNre = config.includeMaskNre;
-    NreCarbonModel nre(tech, config.fabIntensityGPerKwh,
-                       config.design.chipletVolume);
 
     const OperatingSpec &os = config.operating;
     plan->lifetimeYears = os.lifetimeYears;
@@ -387,12 +255,8 @@ SweepEvaluator::compile(
     }
 
     // --- per-(chiplet, candidate) terms -----------------------
-    const bool use_phy = pp.arch == PackagingArch::RdlFanout ||
-                         pp.arch == PackagingArch::SiliconBridge;
-    const bool per_chiplet_comm =
+    const bool chiplet_comm =
         pp.arch != PackagingArch::ActiveInterposer;
-    const double bit_rate_hz =
-        pp.nocFlitRateHz * pp.router.flitWidthBits;
     const bool need_powers =
         !plan->annualPath && !plan->powerOverride;
 
@@ -411,34 +275,35 @@ SweepEvaluator::compile(
             c.nodeNm = node;
             const double area = chiplet.areaMm2(tech);
             c.bare = estimator_->cachedDieMfg(mfg, area, node);
-            if (per_chiplet_comm) {
-                const double added = use_phy
-                                         ? phy.areaMm2(node)
-                                         : router.areaMm2(node);
-                c.commAreaMm2 = added;
-                c.commPowerW =
-                    use_phy
-                        ? phy.powerW(node, bit_rate_hz)
-                        : router.powerW(node, pp.nocFlitRateHz);
+            if (chiplet_comm) {
+                const CommOverhead comm =
+                    models.package.chipletComm(node);
+                c.commAreaMm2 = comm.areaMm2;
+                c.commPowerW = comm.powerW;
                 // Growth delta, exactly like addedAreaCo2Kg: the
                 // grown die is never cached in the scalar path.
-                if (added > 0.0)
+                if (comm.areaMm2 > 0.0)
                     c.commDeltaCo2Kg =
-                        mfg.dieMfg(area + added, node)
+                        mfg.dieMfg(area + comm.areaMm2, node)
                             .totalCo2Kg() -
                         c.bare.totalCo2Kg();
             }
             if (!chiplet.reused)
                 c.designAmortizedCo2Kg =
                     estimator_
-                        ->cachedChipletDesign(design, chiplet)
+                        ->cachedChipletDesign(models.design, chiplet)
                         .amortizedCo2Kg;
             if (need_powers)
-                c.chipletPowerW = operation.chipletPowerW(chiplet);
+                c.chipletPowerW =
+                    models.operation.chipletPowerW(chiplet);
             if (plan->includeNre)
-                c.nreCo2Kg = nre.amortizedCo2Kg(chiplet);
-            if (i == 0 && plan->hasComm && !plan->activeComm)
-                c.commDesignCo2Kg = commDesignTerm(node);
+                c.nreCo2Kg = models.nre->amortizedCo2Kg(chiplet);
+            if (i == 0) {
+                const CommIp comm = models.package.commIp(n, node);
+                if (comm.transistorsMtr > 0.0)
+                    c.commDesignCo2Kg = models.design.commDesignCo2Kg(
+                        comm.transistorsMtr, comm.nodeNm);
+            }
             column.push_back(std::move(c));
         }
     }
@@ -457,6 +322,7 @@ SweepEvaluator::evaluatePoint(const Plan &plan,
     auto at = [&](std::size_t i) -> const Candidate & {
         return plan.cand[i][idx[i]];
     };
+    auto area_of = [&](std::size_t i) { return at(i).bare.areaMm2; };
 
     // Report key: invariant prefix + the point's raw node doubles,
     // matching EcoChip::reportKey byte for byte.
@@ -480,76 +346,45 @@ SweepEvaluator::evaluatePoint(const Plan &plan,
 
     // --- packaging (HiResult) ---------------------------------
     HiResult hi;
-    auto patterningCo2 = [&](double layers_epla, double area_cm2,
-                             double yield) {
+    auto patterningCo2 = [&](int layers, double epla_kwh_per_cm2,
+                             double area_cm2, double yield) {
         if (!(yield > 0.0 && yield <= 1.0))
             throw ModelError("package layer yield out of range");
-        const double energy_kwh = layers_epla * area_cm2;
-        return units::carbonKg(plan.pkgIntensity, energy_kwh) /
-               yield;
+        return packagingCo2Kg(
+            plan.pkgIntensity,
+            patterningEnergyKwh(layers, epla_kwh_per_cm2, area_cm2),
+            yield);
     };
     auto substrateCo2 = [&](double area_mm2) {
         const double area_cm2 = area_mm2 * units::kCm2PerMm2;
-        const double yield = negativeBinomialYieldFast(
-            area_cm2, plan.subD0, plan.alpha);
-        return patterningCo2(plan.subLayersEpla, area_cm2, yield);
-    };
-    auto bondCo2 = [&](double footprint_mm2, int nt,
-                       double tier_pow) {
-        const double vias =
-            std::floor(footprint_mm2 * units::kUm2PerMm2 /
-                       plan.bondPitchSqUm2);
-        const double bond_events = vias * (nt - 1);
-        const double yield =
-            std::exp(-bond_events * plan.bondFailProbability) *
-            tier_pow;
-        const double energy_kwh =
-            vias * plan.bondEnergyFactor * plan.energyPerTsvKwh;
-        hi.bondCount += vias;
-        hi.packageYield *= yield;
-        return units::carbonKg(plan.pkgIntensity, energy_kwh) /
-               yield;
-    };
-    auto commOverheads = [&]() {
-        for (std::size_t i = 0; i < n; ++i) {
-            hi.routingCo2Kg += at(i).commDeltaCo2Kg;
-            hi.commAreaMm2 += at(i).commAreaMm2;
-            hi.nocPowerW += at(i).commPowerW;
-        }
+        return patterningCo2(plan.subLayers, plan.subEpla, area_cm2,
+                             negativeBinomialYieldFast(
+                                 area_cm2, plan.subD0, plan.alpha));
     };
 
     if (plan.arch == PackagingArch::Stack3d) {
-        double footprint_mm2 = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            footprint_mm2 =
-                std::max(footprint_mm2, at(i).bare.areaMm2);
-        const double bonds =
-            bondCo2(footprint_mm2, static_cast<int>(n),
-                    plan.tierYieldPowAll);
-        hi.stackBondCo2Kg = bonds;
-        hi.packageCo2Kg = bonds + substrateCo2(footprint_mm2);
+        const double footprint_mm2 =
+            footprintMm2(plan.stacks.front(), area_of);
+        hi.packageCo2Kg = substrateCo2(footprint_mm2);
         hi.packageAreaMm2 = footprint_mm2;
-        hi.whitespaceAreaMm2 = 0.0;
-        commOverheads();
     } else {
         // Floorplan: memoized process-wide on (spacing, boxes).
         FloorplanResult fp;
         {
             std::vector<ChipletBox> &boxes = scratch.boxes;
             boxes.clear();
-            boxes.reserve(plan.boxes.size());
+            boxes.reserve(plan.units.size());
             std::string &fkey = scratch.floorplanKey;
             fkey.clear();
             fkey.push_back('F');
             appendRaw(fkey, plan.spacingMm);
-            for (const auto &box : plan.boxes) {
-                double area_mm2 = 0.0;
-                for (std::size_t m : box.members)
-                    area_mm2 =
-                        std::max(area_mm2, at(m).bare.areaMm2);
-                appendRaw(fkey, box.label);
+            for (const PlanarUnit &unit : plan.units) {
+                const double area_mm2 =
+                    unit.stacked() ? footprintMm2(unit, area_of)
+                                   : area_of(unit.first);
+                appendRaw(fkey, unit.label);
                 appendRaw(fkey, area_mm2);
-                boxes.push_back({box.label, area_mm2, 1.0});
+                boxes.push_back({unit.label, area_mm2, 1.0});
             }
             if (!floorplanMemo().find(fkey, fp)) {
                 fp = Floorplanner(plan.spacingMm).plan(boxes);
@@ -565,30 +400,22 @@ SweepEvaluator::evaluatePoint(const Plan &plan,
           case PackagingArch::RdlFanout: {
             const double yield = negativeBinomialYieldFast(
                 area_cm2, plan.archD0, plan.alpha);
-            hi.packageCo2Kg = patterningCo2(plan.archLayersEpla,
-                                            area_cm2, yield);
+            hi.packageCo2Kg = patterningCo2(
+                plan.archLayers, plan.archEpla, area_cm2, yield);
             hi.packageYield = yield;
-            commOverheads();
             break;
           }
           case PackagingArch::SiliconBridge: {
-            int bridges = 0;
-            for (const auto &adj : fp.adjacencies)
-                bridges += std::max(
-                    1, static_cast<int>(std::ceil(
-                           adj.overlapMm / plan.bridgeRangeMm)));
-            bridges = std::max(bridges,
-                               static_cast<int>(n) - 1);
+            const int bridges =
+                bridgeCount(fp.adjacencies, plan.bridgeRangeMm, n);
             hi.bridgeCount = bridges;
             const double embed_yield =
-                std::pow(plan.bridgeEmbedYield, bridges);
-            const double substrate = substrateCo2(pkg_area_mm2);
-            hi.packageCo2Kg =
-                (substrate + bridges * plan.bridgePerCo2Kg) /
-                embed_yield;
-            hi.packageYield =
-                embed_yield * std::pow(plan.bridgeYield, bridges);
-            commOverheads();
+                bridgeEmbedYield(plan.bridgeEmbedYield, bridges);
+            hi.packageCo2Kg = bridgePackageCo2Kg(
+                substrateCo2(pkg_area_mm2), bridges,
+                plan.bridgePerCo2Kg, embed_yield);
+            hi.packageYield = bridgePackageYield(
+                embed_yield, plan.bridgeYield, bridges);
             break;
           }
           case PackagingArch::PassiveInterposer:
@@ -596,47 +423,45 @@ SweepEvaluator::evaluatePoint(const Plan &plan,
             const double beol_yield = negativeBinomialYieldFast(
                 area_cm2, plan.archD0, plan.alpha);
             const double beol = patterningCo2(
-                plan.archLayersEpla, area_cm2, beol_yield);
+                plan.archLayers, plan.archEpla, area_cm2, beol_yield);
             const double wasted_mm2 =
                 plan.includeWastage
                     ? plan.wafer.wastedAreaPerDieMm2(pkg_area_mm2)
                     : 0.0;
-            const double wastage = plan.cfpaSiKgPerCm2 *
-                                   wasted_mm2 * units::kCm2PerMm2;
             hi.packageCo2Kg =
-                beol + wastage + substrateCo2(pkg_area_mm2);
+                beol + wastageCo2Kg(plan.cfpaSiKgPerCm2, wasted_mm2) +
+                substrateCo2(pkg_area_mm2);
             hi.packageYield = beol_yield;
             if (plan.arch == PackagingArch::ActiveInterposer) {
-                const double repeater_area =
-                    plan.repeaterFraction * pkg_area_mm2;
-                const double feol_cfpa =
-                    plan.grossCfpaKgPerCm2 / beol_yield;
-                hi.routingCo2Kg = feol_cfpa *
-                                  plan.routerAreaTotalMm2 *
-                                  units::kCm2PerMm2;
-                hi.packageCo2Kg += feol_cfpa * repeater_area *
-                                   units::kCm2PerMm2;
-                hi.commAreaMm2 = plan.routerAreaTotalMm2;
-                hi.nocPowerW = plan.activeCommPowerW;
-            } else {
-                commOverheads();
+                const ActiveFeol feol = activeFeolCo2Kg(
+                    plan.grossCfpaKgPerCm2, beol_yield,
+                    plan.interposerComm.areaMm2,
+                    plan.repeaterFraction, pkg_area_mm2);
+                hi.routingCo2Kg = feol.routerCo2Kg;
+                hi.packageCo2Kg += feol.repeaterCo2Kg;
+                hi.commAreaMm2 = plan.interposerComm.areaMm2;
+                hi.nocPowerW = plan.interposerComm.powerW;
             }
             break;
           }
           case PackagingArch::Stack3d:
             break; // handled before the floorplan branch
         }
-
-        for (const auto &group : plan.groups) {
-            double footprint_mm2 = 0.0;
-            for (std::size_t m : group.members)
-                footprint_mm2 =
-                    std::max(footprint_mm2, at(m).bare.areaMm2);
-            hi.stackBondCo2Kg += bondCo2(
-                footprint_mm2, group.tiers, group.tierYieldPow);
-        }
-        hi.packageCo2Kg += hi.stackBondCo2Kg;
     }
+    if (plan.arch != PackagingArch::ActiveInterposer) {
+        for (std::size_t i = 0; i < n; ++i) {
+            hi.routingCo2Kg += at(i).commDeltaCo2Kg;
+            hi.commAreaMm2 += at(i).commAreaMm2;
+            hi.nocPowerW += at(i).commPowerW;
+        }
+    }
+    for (const PlanarUnit &stack : plan.stacks)
+        hi.stackBondCo2Kg += hi.addStackBond(
+            stackBond(footprintMm2(stack, area_of),
+                      static_cast<int>(stack.members.size()),
+                      plan.bond),
+            plan.pkgIntensity);
+    hi.packageCo2Kg += hi.stackBondCo2Kg;
     report.hi = hi;
 
     // --- design -----------------------------------------------
@@ -644,9 +469,7 @@ SweepEvaluator::evaluatePoint(const Plan &plan,
     for (std::size_t i = 0; i < n; ++i)
         if (!plan.reused[i])
             per_part += at(i).designAmortizedCo2Kg;
-    if (plan.hasComm)
-        per_part += plan.activeComm ? plan.commDesignActiveCo2Kg
-                                    : at(0).commDesignCo2Kg;
+    per_part += at(0).commDesignCo2Kg;
     report.designCo2Kg = per_part;
 
     // --- mask-set NRE -----------------------------------------

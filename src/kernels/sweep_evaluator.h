@@ -19,8 +19,12 @@
  * EcoChip::estimate calls, and the estimator's evaluation cache is
  * populated with exactly the same entries (reports, bare-die
  * manufacturing breakdowns, design breakdowns) a scalar sweep
- * would leave behind. Monolithic systems take the scalar path
- * unchanged.
+ * would leave behind. The packaging and design equations are
+ * calls into package/carbon_terms.h, shared with the scalar models
+ * and BatchEvaluator; the plan only hoists their inputs (through
+ * PlanModels, shared with BatchEvaluator) and a point supplies its
+ * floorplan and candidate dies. Monolithic systems take the scalar
+ * path unchanged.
  */
 
 #ifndef ECOCHIP_KERNELS_SWEEP_EVALUATOR_H
@@ -81,27 +85,9 @@ class SweepEvaluator
         double nreCo2Kg = 0.0;
         /**
          * Communication-IP design carbon per part when this node
-         * leads the system (front chiplet only, non-active
-         * architectures).
+         * leads the system (front chiplet only).
          */
         double commDesignCo2Kg = 0.0;
-    };
-
-    /** One floorplan box: a planar chiplet or a stack group. */
-    struct BoxTerm
-    {
-        std::string label;
-        /** Chiplet indices whose area drives the box (max). */
-        std::vector<std::size_t> members;
-    };
-
-    /** One vertical stack group's bond-carbon invariants. */
-    struct GroupTerm
-    {
-        std::vector<std::size_t> members;
-        int tiers = 0;
-        /** pow(tierAssemblyYield, tiers - 1). */
-        double tierYieldPow = 1.0;
     };
 
     /** Compiled sweep plan for one (system, candidates) pair. */

@@ -1,5 +1,6 @@
 #include "manufacture/mfg_model.h"
 
+#include "package/carbon_terms.h"
 #include "support/error.h"
 #include "support/units.h"
 
@@ -18,12 +19,10 @@ ManufacturingModel::ManufacturingModel(
 double
 ManufacturingModel::grossCfpaKgPerCm2(double node_nm) const
 {
-    const double energy_kg_per_cm2 =
-        tech_->equipmentDerate(node_nm) *
-        fabIntensityGPerKwh_ * units::kKgPerG *
-        tech_->epaKwhPerCm2(node_nm);
-    return energy_kg_per_cm2 + tech_->cgasKgPerCm2(node_nm) +
-           tech_->cmaterialKgPerCm2(node_nm);
+    return ecochip::grossCfpaKgPerCm2(
+        tech_->equipmentDerate(node_nm), fabIntensityGPerKwh_,
+        tech_->epaKwhPerCm2(node_nm), tech_->cgasKgPerCm2(node_nm),
+        tech_->cmaterialKgPerCm2(node_nm));
 }
 
 MfgBreakdown
@@ -48,9 +47,8 @@ ManufacturingModel::dieMfg(double area_mm2, double node_nm) const
                           " mm^2 does not fit the wafer");
     if (includeWastage_) {
         result.wastedAreaMm2 = wafer_.wastedAreaPerDieMm2(area_mm2);
-        result.wastedCo2Kg = tech_->cfpaSiKgPerCm2(node_nm) *
-                             result.wastedAreaMm2 *
-                             units::kCm2PerMm2;
+        result.wastedCo2Kg = wastageCo2Kg(
+            tech_->cfpaSiKgPerCm2(node_nm), result.wastedAreaMm2);
     }
     return result;
 }

@@ -1,8 +1,5 @@
 #include "package/package_model.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "support/error.h"
 #include "support/units.h"
 
@@ -48,40 +45,6 @@ PackageModel::floorplan(const SystemSpec &system) const
 }
 
 double
-PackageModel::stackBondCo2Kg(
-    const std::vector<const Chiplet *> &tiers,
-    HiResult &out) const
-{
-    requireModel(tiers.size() >= 2,
-                 "stack needs at least two tiers");
-    double footprint_mm2 = 0.0;
-    for (const Chiplet *tier : tiers)
-        footprint_mm2 =
-            std::max(footprint_mm2, tier->areaMm2(*tech_));
-
-    const int nt = static_cast<int>(tiers.size());
-    const double pitch_um = params_.bondPitchUm();
-    const double vias = std::floor(
-        footprint_mm2 * units::kUm2PerMm2 / (pitch_um * pitch_um));
-
-    const double bond_events = vias * (nt - 1);
-    const double yield =
-        bondArrayYield(bond_events,
-                       params_.bondFailProbability()) *
-        std::pow(params_.tierAssemblyYield, nt - 1);
-
-    const double energy_kwh = vias * params_.bondEnergyFactor() *
-                              tech_->energyPerTsvKwh(
-                                  params_.bondProcessNodeNm);
-
-    out.bondCount += vias;
-    out.packageYield *= yield;
-    return units::carbonKg(params_.intensityGPerKwh,
-                           energy_kwh) /
-           yield;
-}
-
-double
 PackageModel::layeredPatterningCo2Kg(int layers,
                                      double epla_kwh_per_cm2,
                                      double area_mm2,
@@ -89,10 +52,11 @@ PackageModel::layeredPatterningCo2Kg(int layers,
 {
     requireModel(yield > 0.0 && yield <= 1.0,
                  "package layer yield out of range");
-    const double area_cm2 = area_mm2 * units::kCm2PerMm2;
-    const double energy_kwh = layers * epla_kwh_per_cm2 * area_cm2;
-    return units::carbonKg(params_.intensityGPerKwh, energy_kwh) /
-           yield;
+    return packagingCo2Kg(
+        params_.intensityGPerKwh,
+        patterningEnergyKwh(layers, epla_kwh_per_cm2,
+                            area_mm2 * units::kCm2PerMm2),
+        yield);
 }
 
 double
@@ -120,47 +84,59 @@ PackageModel::addedAreaCo2Kg(const Chiplet &chiplet,
     return grown - bare;
 }
 
-void
-PackageModel::addPhyOverheads(const SystemSpec &system,
-                              HiResult &out) const
+CommOverhead
+PackageModel::chipletComm(double node_nm) const
 {
-    const double bit_rate_hz =
-        params_.nocFlitRateHz * params_.router.flitWidthBits;
+    if (params_.arch == PackagingArch::RdlFanout ||
+        params_.arch == PackagingArch::SiliconBridge)
+        return {phy_.areaMm2(node_nm),
+                phy_.powerW(node_nm, params_.nocFlitRateHz *
+                                         params_.router.flitWidthBits)};
+    return {router_.areaMm2(node_nm),
+            router_.powerW(node_nm, params_.nocFlitRateHz)};
+}
+
+CommOverhead
+PackageModel::interposerComm(std::size_t chiplets) const
+{
+    // Routers move into the interposer: legacy node, larger area
+    // than the chiplet-resident routers of the passive flavor.
+    const double node = params_.interposerNodeNm;
+    const double nc = static_cast<double>(chiplets);
+    return {router_.areaMm2(node) * nc,
+            router_.powerW(node, params_.nocFlitRateHz) * nc};
+}
+
+CommIp
+PackageModel::commIp(std::size_t chiplets, double lead_node_nm) const
+{
+    return ecochip::commIp(params_.arch, chiplets,
+                           phy_.transistorsMtr(),
+                           router_.transistorsMtr(), lead_node_nm,
+                           params_.interposerNodeNm);
+}
+
+void
+PackageModel::addChipletCommOverheads(const SystemSpec &system,
+                                      HiResult &out) const
+{
     for (const auto &chiplet : system.chiplets) {
-        const double phy_area = phy_.areaMm2(chiplet.nodeNm);
-        out.routingCo2Kg += addedAreaCo2Kg(chiplet, phy_area);
-        out.commAreaMm2 += phy_area;
-        out.nocPowerW += phy_.powerW(chiplet.nodeNm, bit_rate_hz);
+        const CommOverhead comm = chipletComm(chiplet.nodeNm);
+        out.routingCo2Kg += addedAreaCo2Kg(chiplet, comm.areaMm2);
+        out.commAreaMm2 += comm.areaMm2;
+        out.nocPowerW += comm.powerW;
     }
 }
 
 void
-PackageModel::addChipletRouterOverheads(const SystemSpec &system,
-                                        HiResult &out) const
+PackageModel::evaluateRdl(double area_mm2, HiResult &out) const
 {
-    for (const auto &chiplet : system.chiplets) {
-        const double router_area = router_.areaMm2(chiplet.nodeNm);
-        out.routingCo2Kg += addedAreaCo2Kg(chiplet, router_area);
-        out.commAreaMm2 += router_area;
-        out.nocPowerW +=
-            router_.powerW(chiplet.nodeNm, params_.nocFlitRateHz);
-    }
-}
-
-void
-PackageModel::evaluateRdl(const SystemSpec &system,
-                          const FloorplanResult &fp,
-                          HiResult &out) const
-{
-    const double pkg_area = fp.areaMm2();
     const double yield =
-        yieldModel_.rdlYield(pkg_area, params_.rdlNodeNm);
-
+        yieldModel_.rdlYield(area_mm2, params_.rdlNodeNm);
     out.packageCo2Kg = layeredPatterningCo2Kg(
         params_.rdlLayers,
-        tech_->eplaRdlKwhPerCm2(params_.rdlNodeNm), pkg_area, yield);
+        tech_->eplaRdlKwhPerCm2(params_.rdlNodeNm), area_mm2, yield);
     out.packageYield = yield;
-    addPhyOverheads(system, out);
 }
 
 void
@@ -168,19 +144,9 @@ PackageModel::evaluateBridge(const SystemSpec &system,
                              const FloorplanResult &fp,
                              HiResult &out) const
 {
-    // Bridge count: one bridge per `range` of overlapping edge on
-    // each adjacent pair; an additional bridge when the shared edge
-    // exceeds the range (Sec. III-D(1b)). The spanning-tree lower
-    // bound keeps every chiplet connected even when bounding-box
-    // whitespace hides an abutment from the adjacency extraction.
-    int bridges = 0;
-    for (const auto &adj : fp.adjacencies) {
-        bridges += std::max(
-            1, static_cast<int>(
-                   std::ceil(adj.overlapMm / params_.bridgeRangeMm)));
-    }
-    bridges = std::max(
-        bridges, static_cast<int>(system.chiplets.size()) - 1);
+    const int bridges =
+        bridgeCount(fp.adjacencies, params_.bridgeRangeMm,
+                    system.chiplets.size());
     out.bridgeCount = bridges;
 
     const double bridge_yield = yieldModel_.bridgeYield(
@@ -189,26 +155,21 @@ PackageModel::evaluateBridge(const SystemSpec &system,
         params_.bridgeLayers,
         tech_->eplaBridgeKwhPerCm2(params_.bridgeNodeNm),
         params_.bridgeAreaMm2, bridge_yield);
-
-    // Embedding each bridge into its substrate cavity risks the
-    // whole substrate; the embed yield compounds per bridge.
     const double embed_yield =
-        std::pow(params_.bridgeEmbedYield, bridges);
-    const double substrate = baseSubstrateCo2Kg(fp.areaMm2());
-
-    out.packageCo2Kg =
-        (substrate + bridges * per_bridge) / embed_yield;
-    out.packageYield = embed_yield * std::pow(bridge_yield, bridges);
-    addPhyOverheads(system, out);
+        bridgeEmbedYield(params_.bridgeEmbedYield, bridges);
+    out.packageCo2Kg = bridgePackageCo2Kg(
+        baseSubstrateCo2Kg(fp.areaMm2()), bridges, per_bridge,
+        embed_yield);
+    out.packageYield =
+        bridgePackageYield(embed_yield, bridge_yield, bridges);
 }
 
 void
 PackageModel::evaluateInterposer(const SystemSpec &system,
-                                 const FloorplanResult &fp,
-                                 bool active, HiResult &out) const
+                                 double area_mm2, bool active,
+                                 HiResult &out) const
 {
     const double node = params_.interposerNodeNm;
-    const double area_mm2 = fp.areaMm2();
 
     // The interposer is an additional large silicon die: its BEOL
     // spans the whole outline, and the die consumes real wafer area
@@ -219,69 +180,27 @@ PackageModel::evaluateInterposer(const SystemSpec &system,
     const double beol = layeredPatterningCo2Kg(
         params_.interposerBeolLayers,
         tech_->eplaInterposerKwhPerCm2(node), area_mm2, beol_yield);
-
     const double wasted_mm2 =
         mfg_->includeWastage()
             ? mfg_->wafer().wastedAreaPerDieMm2(area_mm2)
             : 0.0;
-    const double wastage = tech_->cfpaSiKgPerCm2(node) *
-                           wasted_mm2 * units::kCm2PerMm2;
-
     out.packageCo2Kg =
-        beol + wastage + baseSubstrateCo2Kg(area_mm2);
+        beol + wastageCo2Kg(tech_->cfpaSiKgPerCm2(node), wasted_mm2) +
+        baseSubstrateCo2Kg(area_mm2);
     out.packageYield = beol_yield;
 
     if (active) {
-        // Routers move into the interposer (legacy node, larger
-        // area than the chiplet-resident routers of the passive
-        // flavor), plus FEOL under the repeater regions.
-        const double router_area =
-            router_.areaMm2(node) *
-            static_cast<double>(system.chiplets.size());
-        const double repeater_area =
-            params_.repeaterAreaFraction * area_mm2;
-        const double feol_cfpa =
-            mfg_->grossCfpaKgPerCm2(node) / beol_yield;
-
-        out.routingCo2Kg =
-            feol_cfpa * router_area * units::kCm2PerMm2;
-        out.packageCo2Kg +=
-            feol_cfpa * repeater_area * units::kCm2PerMm2;
-        out.commAreaMm2 = router_area;
-        out.nocPowerW =
-            router_.powerW(node, params_.nocFlitRateHz) *
-            static_cast<double>(system.chiplets.size());
-    } else {
-        // Passive interposers cannot host logic: router modules
-        // live inside the chiplets, in the chiplets' (advanced)
-        // nodes (Sec. III-D(2)).
-        addChipletRouterOverheads(system, out);
+        // The routers' and repeaters' FEOL is real logic silicon.
+        const CommOverhead comm =
+            interposerComm(system.chiplets.size());
+        const ActiveFeol feol = activeFeolCo2Kg(
+            mfg_->grossCfpaKgPerCm2(node), beol_yield, comm.areaMm2,
+            params_.repeaterAreaFraction, area_mm2);
+        out.routingCo2Kg = feol.routerCo2Kg;
+        out.packageCo2Kg += feol.repeaterCo2Kg;
+        out.commAreaMm2 = comm.areaMm2;
+        out.nocPowerW = comm.powerW;
     }
-}
-
-void
-PackageModel::evaluate3d(const SystemSpec &system,
-                         HiResult &out) const
-{
-    // The whole system is one tower: footprint set by the largest
-    // tier; a dense grid of through-stack connections at the
-    // minimum pitch maximizes inter-tier bandwidth
-    // (Sec. III-D(1e)).
-    double footprint_mm2 = 0.0;
-    std::vector<const Chiplet *> tiers;
-    for (const auto &chiplet : system.chiplets) {
-        footprint_mm2 =
-            std::max(footprint_mm2, chiplet.areaMm2(*tech_));
-        tiers.push_back(&chiplet);
-    }
-
-    const double bonds = stackBondCo2Kg(tiers, out);
-    out.stackBondCo2Kg = bonds;
-    out.packageCo2Kg = bonds + baseSubstrateCo2Kg(footprint_mm2);
-    out.packageAreaMm2 = footprint_mm2;
-    out.whitespaceAreaMm2 = 0.0;
-
-    addChipletRouterOverheads(system, out);
 }
 
 HiResult
@@ -296,54 +215,52 @@ PackageModel::evaluate(const SystemSpec &system) const
         return out;
     }
 
+    const std::vector<PlanarUnit> stacks =
+        bondedStacks(params_.arch, system);
+    auto area_of = [&](std::size_t i) {
+        return system.chiplets[i].areaMm2(*tech_);
+    };
+
     if (params_.arch == PackagingArch::Stack3d) {
-        evaluate3d(system, out);
-        return out;
+        // One tower on an organic substrate, its footprint set by
+        // the largest tier (Sec. III-D(1e)).
+        const double footprint_mm2 =
+            footprintMm2(stacks.front(), area_of);
+        out.packageCo2Kg = baseSubstrateCo2Kg(footprint_mm2);
+        out.packageAreaMm2 = footprint_mm2;
+    } else {
+        const FloorplanResult fp = floorplan(system);
+        out.packageAreaMm2 = fp.areaMm2();
+        out.whitespaceAreaMm2 = fp.whitespaceAreaMm2;
+        switch (params_.arch) {
+          case PackagingArch::RdlFanout:
+            evaluateRdl(fp.areaMm2(), out);
+            break;
+          case PackagingArch::SiliconBridge:
+            evaluateBridge(system, fp, out);
+            break;
+          case PackagingArch::PassiveInterposer:
+          case PackagingArch::ActiveInterposer:
+            evaluateInterposer(
+                system, fp.areaMm2(),
+                params_.arch == PackagingArch::ActiveInterposer, out);
+            break;
+          case PackagingArch::Stack3d:
+            break; // handled above
+        }
     }
 
-    const FloorplanResult fp = floorplan(system);
-    out.packageAreaMm2 = fp.areaMm2();
-    out.whitespaceAreaMm2 = fp.whitespaceAreaMm2;
+    // PHYs (RDL/EMIB) or routers in the chiplets' own nodes; an
+    // active interposer hosts its routers itself (Sec. III-D(2)).
+    if (params_.arch != PackagingArch::ActiveInterposer)
+        addChipletCommOverheads(system, out);
 
-    switch (params_.arch) {
-      case PackagingArch::RdlFanout:
-        evaluateRdl(system, fp, out);
-        break;
-      case PackagingArch::SiliconBridge:
-        evaluateBridge(system, fp, out);
-        break;
-      case PackagingArch::PassiveInterposer:
-        evaluateInterposer(system, fp, false, out);
-        break;
-      case PackagingArch::ActiveInterposer:
-        evaluateInterposer(system, fp, true, out);
-        break;
-      case PackagingArch::Stack3d:
-        throw ModelError("3D handled above");
-    }
-
-    // Mixed 2.5D/3D: bond carbon of every vertical stack group
-    // (HBM-style towers) on top of the planar package.
-    std::vector<std::string> groups;
-    for (const auto &chiplet : system.chiplets) {
-        if (chiplet.stackGroup.empty())
-            continue;
-        bool seen = false;
-        for (const auto &group : groups)
-            seen |= group == chiplet.stackGroup;
-        if (!seen)
-            groups.push_back(chiplet.stackGroup);
-    }
-    for (const auto &group : groups) {
-        std::vector<const Chiplet *> tiers;
-        for (const auto &chiplet : system.chiplets)
-            if (chiplet.stackGroup == group)
-                tiers.push_back(&chiplet);
-        if (tiers.size() < 2)
-            requireConfig(false, "stack group \"" + group +
-                                     "\" needs at least two tiers");
-        out.stackBondCo2Kg += stackBondCo2Kg(tiers, out);
-    }
+    for (const PlanarUnit &stack : stacks)
+        out.stackBondCo2Kg += out.addStackBond(
+            stackBond(footprintMm2(stack, area_of),
+                      static_cast<int>(stack.members.size()),
+                      bondParams(params_, *tech_)),
+            params_.intensityGPerKwh);
     out.packageCo2Kg += out.stackBondCo2Kg;
     return out;
 }

@@ -13,6 +13,7 @@
 #include "floorplan/floorplan.h"
 #include "manufacture/mfg_model.h"
 #include "noc/router_model.h"
+#include "package/carbon_terms.h"
 #include "package/package_params.h"
 #include "yield/yield_model.h"
 
@@ -58,6 +59,29 @@ struct HiResult
 
     /** Total HI carbon CHI = Cpackage + Cmfg,comm (kg CO2). */
     double totalCo2Kg() const { return packageCo2Kg + routingCo2Kg; }
+
+    /**
+     * Count @p bond's vias and yield into this result and return
+     * its carbon at the package intensity (kg CO2).
+     */
+    double
+    addStackBond(const StackBond &bond, double intensity_g_per_kwh)
+    {
+        bondCount += bond.vias;
+        packageYield *= bond.yield;
+        return packagingCo2Kg(intensity_g_per_kwh, bond.energyKwh,
+                              bond.yield);
+    }
+};
+
+/** Communication silicon added for inter-die links. */
+struct CommOverhead
+{
+    /** Added silicon area (mm^2). */
+    double areaMm2 = 0.0;
+
+    /** Operational power of the circuitry (W). */
+    double powerW = 0.0;
 };
 
 /**
@@ -111,6 +135,23 @@ class PackageModel
      */
     FloorplanResult floorplan(const SystemSpec &system) const;
 
+    /**
+     * Communication silicon added to one chiplet at @p node_nm: a
+     * PHY on RDL and bridge packages, a NoC router on passive
+     * interposers and 3D stacks. Active interposers add none to
+     * the chiplets (see interposerComm()).
+     */
+    CommOverhead chipletComm(double node_nm) const;
+
+    /** The routers of @p chiplets chiplets in an active interposer. */
+    CommOverhead interposerComm(std::size_t chiplets) const;
+
+    /**
+     * The communication IP of a @p chiplets-die system whose first
+     * chiplet is at @p lead_node_nm (commIp()).
+     */
+    CommIp commIp(std::size_t chiplets, double lead_node_nm) const;
+
   private:
     /** Eq. 9-style per-layer patterning carbon over an area. */
     double layeredPatterningCo2Kg(int layers,
@@ -129,30 +170,17 @@ class PackageModel
     double addedAreaCo2Kg(const Chiplet &chiplet,
                           double added_area_mm2) const;
 
-    void evaluateRdl(const SystemSpec &system,
-                     const FloorplanResult &fp, HiResult &out) const;
+    void evaluateRdl(double area_mm2, HiResult &out) const;
     void evaluateBridge(const SystemSpec &system,
                         const FloorplanResult &fp,
                         HiResult &out) const;
     void evaluateInterposer(const SystemSpec &system,
-                            const FloorplanResult &fp, bool active,
+                            double area_mm2, bool active,
                             HiResult &out) const;
-    void evaluate3d(const SystemSpec &system, HiResult &out) const;
 
-    /** PHY-per-chiplet communication overhead (RDL/EMIB). */
-    void addPhyOverheads(const SystemSpec &system,
-                         HiResult &out) const;
-
-    /**
-     * Bond carbon and yield of one vertical stack of tiers;
-     * accumulates bond count into @p out and returns the carbon.
-     */
-    double stackBondCo2Kg(const std::vector<const Chiplet *> &tiers,
-                          HiResult &out) const;
-
-    /** Router-per-chiplet communication overhead (passive/3D). */
-    void addChipletRouterOverheads(const SystemSpec &system,
-                                   HiResult &out) const;
+    /** Per-chiplet PHY or router overhead (all but active). */
+    void addChipletCommOverheads(const SystemSpec &system,
+                                 HiResult &out) const;
 
     const TechDb *tech_;
     const ManufacturingModel *mfg_;

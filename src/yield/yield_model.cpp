@@ -15,7 +15,7 @@ negativeBinomialYield(double area_cm2, double d0_per_cm2,
     requireConfig(d0_per_cm2 >= 0.0,
                   "defect density must be non-negative");
     requireConfig(alpha > 0.0, "clustering alpha must be positive");
-    return std::pow(1.0 + area_cm2 * d0_per_cm2 / alpha, -alpha);
+    return negativeBinomialYieldFast(area_cm2, d0_per_cm2, alpha);
 }
 
 double
@@ -61,7 +61,7 @@ poissonYield(double area_cm2, double d0_per_cm2)
     requireConfig(area_cm2 >= 0.0, "die area must be non-negative");
     requireConfig(d0_per_cm2 >= 0.0,
                   "defect density must be non-negative");
-    return std::exp(-area_cm2 * d0_per_cm2);
+    return poissonYieldFast(area_cm2, d0_per_cm2);
 }
 
 double
@@ -70,11 +70,7 @@ murphyYield(double area_cm2, double d0_per_cm2)
     requireConfig(area_cm2 >= 0.0, "die area must be non-negative");
     requireConfig(d0_per_cm2 >= 0.0,
                   "defect density must be non-negative");
-    const double x = area_cm2 * d0_per_cm2;
-    if (x < 1e-12)
-        return 1.0;
-    const double term = (1.0 - std::exp(-x)) / x;
-    return term * term;
+    return murphyYieldFast(area_cm2, d0_per_cm2);
 }
 
 double
@@ -83,7 +79,7 @@ seedsYield(double area_cm2, double d0_per_cm2)
     requireConfig(area_cm2 >= 0.0, "die area must be non-negative");
     requireConfig(d0_per_cm2 >= 0.0,
                   "defect density must be non-negative");
-    return 1.0 / (1.0 + area_cm2 * d0_per_cm2);
+    return seedsYieldFast(area_cm2, d0_per_cm2);
 }
 
 double

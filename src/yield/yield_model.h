@@ -66,10 +66,10 @@ double dieYield(YieldModelKind kind, double area_cm2,
 /**
  * @{ @name Unchecked yield kernels
  *
- * Bit-identical to the checked functions above -- same expression
- * trees, same special cases -- with the argument validation
- * hoisted out. Batch evaluators validate inputs once per plan and
- * then call these in per-trial hot loops.
+ * The yield equations themselves: the checked functions above
+ * validate their arguments and call these. Batch evaluators
+ * validate inputs once per plan and then call these in per-trial
+ * hot loops.
  */
 inline double
 negativeBinomialYieldFast(double area_cm2, double d0_per_cm2,

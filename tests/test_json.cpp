@@ -335,8 +335,8 @@ TEST(StreamWriter, ControlCharacterEscapesMatchDumpGolden)
         "\\u001e", "\\u001f"};
     for (int c = 0; c < 32; ++c) {
         const std::string raw(1, static_cast<char>(c));
-        const std::string expected =
-            "\"" + std::string(golden[c]) + "\"";
+        std::string expected = "\"";
+        expected.append(golden[c]).append("\"");
         EXPECT_EQ(Value(raw).dump(false), expected)
             << "dump of control char " << c;
         StreamWriter writer;

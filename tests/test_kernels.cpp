@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/montecarlo.h"
@@ -266,7 +268,30 @@ architectureConfigs()
     nre.operating = testcases::ga102Operating();
     nre.includeMaskNre = true;
     configs.push_back(nre);
+    // The other die-yield statistics, each on a different package:
+    // dieYieldFast switches on the model in the Monte Carlo loop.
+    const std::pair<YieldModelKind, PackagingArch> yields[] = {
+        {YieldModelKind::Poisson, PackagingArch::RdlFanout},
+        {YieldModelKind::Murphy, PackagingArch::SiliconBridge},
+        {YieldModelKind::Seeds, PackagingArch::Stack3d},
+    };
+    for (const auto &[kind, arch] : yields) {
+        EcoChipConfig config;
+        config.package.arch = arch;
+        config.operating = testcases::ga102Operating();
+        config.yieldModel = kind;
+        configs.push_back(config);
+    }
     return configs;
+}
+
+/** Trace label of one architectureConfigs() entry. */
+std::string
+configLabel(const EcoChipConfig &config)
+{
+    return std::string("arch ") + toString(config.package.arch) +
+           " yield " + toString(config.yieldModel) +
+           (config.includeMaskNre ? " +nre" : "");
 }
 
 // ------------------------------------------------ sweep goldens
@@ -304,10 +329,7 @@ TEST(KernelSweepGolden, BitIdenticalAcrossArchitectures)
 {
     const TechDb tech;
     for (const EcoChipConfig &config : architectureConfigs()) {
-        SCOPED_TRACE("arch " +
-                     std::to_string(static_cast<int>(
-                         config.package.arch)) +
-                     (config.includeMaskNre ? " +nre" : ""));
+        SCOPED_TRACE(configLabel(config));
         const SystemSpec system = testcases::ga102ThreeChiplet(
             tech, 7.0, 10.0, 14.0);
         const std::vector<std::vector<double>> grid(
@@ -424,6 +446,39 @@ TEST(KernelMonteCarloGolden, BitIdenticalToScalarTrials)
             const UncertaintyReport actual = analyzer.run(
                 bundle.system, 16, seed, Parallelism{1});
 
+            expectStatsBitIdentical(expected.embodied,
+                                    actual.embodied);
+            expectStatsBitIdentical(expected.operational,
+                                    actual.operational);
+            expectStatsBitIdentical(expected.total, actual.total);
+        }
+    }
+}
+
+TEST(KernelMonteCarloGolden, BitIdenticalAcrossArchitectures)
+{
+    // Every packaging architecture and die-yield model, on a flat
+    // system and on one with stack groups, with every band open.
+    const TechDb tech;
+    UncertaintyBands bands;
+    bands.defectDensity = 0.3;
+    bands.epa = 0.2;
+    bands.intensity = 0.2;
+    bands.designTime = 0.3;
+    bands.dutyCycle = 0.2;
+    const SystemSpec systems[] = {
+        testcases::ga102ThreeChiplet(tech, 7.0, 10.0, 14.0),
+        testcases::ga102Hbm(tech, 2, 2),
+    };
+    for (const EcoChipConfig &config : architectureConfigs()) {
+        SCOPED_TRACE(configLabel(config));
+        for (const SystemSpec &system : systems) {
+            SCOPED_TRACE("system " + system.name);
+            const UncertaintyReport expected = scalarMonteCarlo(
+                config, tech, bands, system, 16, 99);
+            const UncertaintyReport actual =
+                MonteCarloAnalyzer(config, tech, bands)
+                    .run(system, 16, 99, Parallelism{1});
             expectStatsBitIdentical(expected.embodied,
                                     actual.embodied);
             expectStatsBitIdentical(expected.operational,
