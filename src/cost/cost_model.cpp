@@ -70,6 +70,10 @@ CostModel::systemCost(const SystemSpec &system,
         return out;
     }
 
+    // A stack group of one tier is refused here as in the carbon
+    // model, before anything is floorplanned.
+    bondedStacks(pkg.arch, system);
+
     // One logic-density lookup per chiplet; every consumer below
     // (die costs, 3D footprint) reads the hoisted area.
     std::vector<double> areas_mm2;

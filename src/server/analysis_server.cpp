@@ -197,6 +197,8 @@ struct AnalysisServer::Impl
         std::string requestEchoText;
         std::string cacheKey;
         bool ok = false;
+        /** The worker wrote the result's cache object. */
+        bool stored = false;
         /** Result JSON when ok, else the error message. */
         std::string payload;
     };
@@ -462,7 +464,7 @@ AnalysisServer::Impl::handleLine(int fd, Connection &conn,
     engine->submit(
         std::move(request),
         [this, job = Completion{fd, conn.id, index, echo,
-                                std::move(key), false, {}}](
+                                std::move(key), false, false, {}}](
             RequestOutcome outcome) mutable {
             finish(std::move(job), std::move(outcome));
         });
@@ -484,6 +486,17 @@ AnalysisServer::Impl::finish(Completion job,
         }
     } catch (const std::exception &e) {
         job.payload = e.what();
+    }
+    // The cache object is written here too, so no file write
+    // stalls the loop; the loop only indexes it (onWake).
+    if (job.ok && cache && !job.cacheKey.empty()) {
+        try {
+            cache->writeObject(job.cacheKey, job.payload);
+            job.stored = true;
+        } catch (const std::exception &) {
+            // Counted by the loop; the answer still goes out, and
+            // the next ask recomputes it.
+        }
     }
 
     std::lock_guard<std::mutex> lock(completionsMutex);
@@ -511,17 +524,17 @@ AnalysisServer::Impl::onWake()
                     stopRequested.store(true);
         finished.swap(completions);
     }
+    std::vector<int> delivered;
     for (const Completion &job : finished) {
         --inFlight;
         ++stats.served;
         if (!job.ok)
             ++stats.failed;
-        try {
-            if (job.ok && cache && !job.cacheKey.empty())
-                cache->storeText(job.cacheKey, job.payload);
-        } catch (const std::exception &) {
-            // Counted in the cache's stats; the answer still goes
-            // out, and the next ask recomputes it.
+        if (job.ok && cache && !job.cacheKey.empty()) {
+            if (job.stored)
+                cache->admit(job.cacheKey, job.payload);
+            else
+                cache->countStoreFailure();
         }
 
         // Deliver only if the connection that asked is still the
@@ -535,6 +548,14 @@ AnalysisServer::Impl::onWake()
             eventLine(job.index, job.requestEchoText, job.ok,
                       job.payload) +
             "\n";
+        delivered.push_back(job.fd);
+    }
+    // Send now: these connections were polled without POLLOUT, so
+    // waiting for the socket would cost another poll() round.
+    for (const int fd : delivered) {
+        const auto it = conns.find(fd);
+        if (it != conns.end())
+            flushConnection(fd, it->second);
     }
 }
 

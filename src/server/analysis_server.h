@@ -23,9 +23,10 @@
  * the event-loop skeleton of `engine/shard_coordinator.h`:
  * connections are polled, complete lines are parsed and either
  * answered from the cache or submitted to the engine pool. The
- * worker that finishes a request serializes it and wakes the
- * loop through its wake pipe, and the loop writes it back as a
- * stream-event line in completion order (the per-connection
+ * worker that finishes a request serializes it, writes its cache
+ * object and wakes the loop through its wake pipe; the loop
+ * indexes the object and sends the answer as a stream-event line
+ * in completion order (the per-connection
  * `index` maps a line back to its request, exactly like
  * `--batch --stream`); the loop never polls on a timer. A
  * malformed or overlong line yields an error event on its

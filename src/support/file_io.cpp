@@ -1,5 +1,7 @@
 #include "support/file_io.h"
 
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -35,7 +37,12 @@ replaceFile(const std::string &path, std::string_view what,
 #else // no pid: a random tag drawn once per process
     static const auto tag = std::random_device{}();
 #endif
-    const std::string tmp = file.string() + ".tmp." + std::to_string(tag);
+    // The counter tells apart the temps of two threads replacing
+    // one path at once; the last rename wins.
+    static std::atomic<std::uint64_t> writes{0};
+    const std::string tmp = file.string() + ".tmp." +
+                            std::to_string(tag) + "." +
+                            std::to_string(writes++);
     std::ofstream out(tmp, std::ios::binary);
     requireConfig(static_cast<bool>(out), "cannot write " + name);
     try {

@@ -2,17 +2,18 @@
  * @file
  * Whole-file writes and reads. Every report, cache object and
  * index is written by `replaceFile`:
- *  - the bytes go to `<path>.tmp.<pid>` beside the path; only a
- *    stream that closed cleanly is renamed over the path, so a
- *    failed write removes the temp and keeps the previous file
- *    byte-identical;
+ *  - the bytes go to `<path>.tmp.<pid>.<n>` beside the path,
+ *    where n counts the process's writes; only a stream that
+ *    closed cleanly is renamed over the path, so a failed write
+ *    removes the temp and keeps the previous file byte-identical;
  *  - a symlink is followed and the file it names is replaced;
  *    the link stays, and other hard links keep the old bytes;
  *  - a directory, device, FIFO or socket at the path, or a
  *    symlink to one, is refused;
  *  - nothing is fsync'ed.
- * Processes on one host never share a temp name; one process must
- * not replace one path from two threads at once.
+ * No two writes on one host share a temp name, so threads and
+ * processes may replace one path at once: each rename is whole,
+ * and the last one wins.
  */
 
 #ifndef ECOCHIP_SUPPORT_FILE_IO_H

@@ -21,8 +21,11 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <list>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -33,9 +36,12 @@
 #include "engine/analysis_engine.h"
 #include "io/batch_report_io.h"
 #include "io/request_io.h"
+#include "io/result_writer.h"
+#include "json/stream_writer.h"
 #include "server/analysis_server.h"
 #include "server/result_cache.h"
 #include "server/server_client.h"
+#include "session/analysis_session.h"
 #include "support/error.h"
 #include "support/sha256.h"
 
@@ -145,8 +151,38 @@ class ResultCacheTest : public ::testing::Test
 
     std::string dirStr() const { return dir_.string(); }
 
+    std::filesystem::path objectPath(const std::string &key) const
+    {
+        return dir_ / "objects" / key.substr(0, 2) / (key + ".json");
+    }
+
+    std::string readObject(const std::string &key) const
+    {
+        std::ifstream in(objectPath(key), std::ios::binary);
+        return {std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>()};
+    }
+
+    void writeObject(const std::string &key,
+                     const std::string &bytes) const
+    {
+        std::ofstream(objectPath(key), std::ios::binary | std::ios::trunc)
+            << bytes;
+    }
+
     std::filesystem::path dir_;
 };
+
+/** A real result document: the ga102 estimate as the server
+ *  serializes it. */
+std::string
+ga102EstimateText()
+{
+    json::StreamWriter writer;
+    appendResult(writer,
+                 ScenarioBuilder().scenario("ga102").build().estimate());
+    return writer.take();
+}
 
 TEST_F(ResultCacheTest, StoreLookupRoundTripsAndCounts)
 {
@@ -189,16 +225,16 @@ TEST_F(ResultCacheTest, SurvivesReopenAndIndexLoss)
 
 TEST_F(ResultCacheTest, TruncatedObjectRecomputesInsteadOfCrash)
 {
-    ResultCache cache({dirStr(), 0});
     const std::string result =
         R"({"detail":"will be truncated"})";
     const std::string key(64, 'c');
-    cache.storeText(key, result);
+    ResultCache({dirStr(), 0}).storeText(key, result);
+    // A reopened cache holds no text in memory, so its lookup
+    // reads the object.
+    ResultCache cache({dirStr(), 0});
 
     // Truncate the object file mid-JSON.
-    const auto object =
-        dir_ / "objects" / key.substr(0, 2) / (key + ".json");
-    std::ofstream(object, std::ios::trunc) << "{\"detail\": \"wi";
+    writeObject(key, "{\"detail\": \"wi");
 
     EXPECT_FALSE(cache.lookupText(key).has_value());
     EXPECT_EQ(cache.stats().entries, 0u);
@@ -220,6 +256,350 @@ TEST_F(ResultCacheTest, LruEvictionKeepsTheHotEntries)
     EXPECT_TRUE(cache.lookupText(a).has_value());
     EXPECT_FALSE(cache.lookupText(b).has_value());
     EXPECT_TRUE(cache.lookupText(c).has_value());
+}
+
+TEST_F(ResultCacheTest, MemoryDiskAndColdAnswersAreByteIdentical)
+{
+    const std::string cold = ga102EstimateText();
+    const std::string key = sha256Hex("byte-identical");
+    {
+        ResultCache cache({dirStr(), 0});
+        cache.storeText(key, cold);
+        EXPECT_EQ(readObject(key), cold + "\n");
+        // A memory-tier hit reads no file: the object may be gone.
+        const auto away = objectPath(key).string() + ".away";
+        std::filesystem::rename(objectPath(key), away);
+        const auto memory = cache.lookupText(key);
+        ASSERT_TRUE(memory.has_value());
+        EXPECT_EQ(*memory, cold);
+        std::filesystem::rename(away, objectPath(key));
+        cache.flushIndex();
+    }
+    ResultCache reopened({dirStr(), 0});
+    const auto disk = reopened.lookupText(key);
+    ASSERT_TRUE(disk.has_value());
+    EXPECT_EQ(*disk, cold);
+    // The disk hit brought the text into the memory tier.
+    std::filesystem::remove(objectPath(key));
+    const auto again = reopened.lookupText(key);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, cold);
+    EXPECT_EQ(reopened.stats().hits, 2u);
+    EXPECT_EQ(reopened.stats().misses, 0u);
+}
+
+TEST_F(ResultCacheTest, EditedObjectOnDiskIsAMissAndRecomputed)
+{
+    const std::string result = ga102EstimateText();
+    const std::vector<std::string> damaged = {
+        // Valid JSON, pretty-printed over several lines.
+        json::parse(result).dump(true) + "\n",
+        // One byte appended after the newline: whitespace keeps
+        // the JSON valid, a letter does not.
+        result + "\n ",
+        result + "\nx",
+    };
+    for (std::size_t i = 0; i < damaged.size(); ++i) {
+        SCOPED_TRACE(i);
+        const std::string key = sha256Hex("edited" + std::to_string(i));
+        ResultCache({dirStr(), 0}).storeText(key, result);
+        writeObject(key, damaged[i]);
+
+        ResultCache cache({dirStr(), 0});
+        const auto entries = cache.stats().entries;
+        EXPECT_FALSE(cache.lookupText(key).has_value());
+        EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_EQ(cache.stats().entries, entries - 1);
+        EXPECT_FALSE(std::filesystem::exists(objectPath(key)));
+
+        cache.storeText(key, result);
+        const auto hit = cache.lookupText(key);
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_EQ(*hit, result);
+    }
+}
+
+TEST_F(ResultCacheTest, CompactDomObjectIsServedByteForByte)
+{
+    // Caches written before the streaming serializers hold
+    // `resultToJson(result).dump(false)` and a newline.
+    const AnalysisResult result =
+        ScenarioBuilder().scenario("emr").build().estimate();
+    const std::string dom = resultToJson(result).dump(false);
+    const std::string key = sha256Hex("compact-dom");
+    std::filesystem::create_directories(objectPath(key).parent_path());
+    writeObject(key, dom + "\n");
+
+    ResultCache cache({dirStr(), 0});
+    const auto hit = cache.lookupText(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, dom);
+    json::StreamWriter writer;
+    appendResult(writer, result);
+    EXPECT_EQ(*hit, writer.str());
+}
+
+TEST_F(ResultCacheTest, StreamedIndexMatchesTheDomDump)
+{
+    const auto expectIndex = [this](const std::vector<std::string> &keys) {
+        json::Value entries = json::Value::makeArray();
+        for (std::size_t tick = 0; tick < keys.size(); ++tick) {
+            json::Value entry = json::Value::makeObject();
+            entry.set("key", keys[tick]);
+            entry.set("tick", static_cast<double>(tick));
+            entries.append(std::move(entry));
+        }
+        json::Value doc = json::Value::makeObject();
+        doc.set("version", 1);
+        doc.set("entries", std::move(entries));
+        std::ifstream in(dir_ / "index.json", std::ios::binary);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_EQ(text, doc.dump(true) + "\n");
+    };
+
+    ResultCache cache({dirStr(), 0});
+    cache.flushIndex();
+    expectIndex({});
+
+    const std::string a = sha256Hex("a"), b = sha256Hex("b"),
+                      c = sha256Hex("c");
+    for (const auto &key : {a, b, c})
+        cache.storeText(key, R"({"detail":"x"})");
+    ASSERT_TRUE(cache.lookupText(a).has_value());
+    // Least recently used first.
+    cache.flushIndex();
+    expectIndex({b, c, a});
+}
+
+TEST_F(ResultCacheTest, LoadsAKeySortedIndex)
+{
+    // Older caches wrote their index sorted by key, each entry
+    // with its last-use tick: the ticks give the recency order.
+    const std::string a(64, 'a'), b(64, 'b'), c(64, 'c');
+    {
+        ResultCache cache({dirStr(), 0});
+        for (const auto &key : {a, b, c})
+            cache.storeText(key, R"({"detail":"x"})");
+    }
+    json::Value entries = json::Value::makeArray();
+    for (const auto &[key, tick] :
+         {std::pair{a, 7}, std::pair{b, 2}, std::pair{c, 5}}) {
+        json::Value entry = json::Value::makeObject();
+        entry.set("key", key);
+        entry.set("tick", tick);
+        entries.append(std::move(entry));
+    }
+    json::Value doc = json::Value::makeObject();
+    doc.set("version", 1);
+    doc.set("entries", std::move(entries));
+    json::writeFile(doc, (dir_ / "index.json").string());
+
+    // Two entries fit: loading drops the least recent, b.
+    ResultCache cache({dirStr(), 2});
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_FALSE(std::filesystem::exists(objectPath(b)));
+    EXPECT_TRUE(cache.lookupText(c).has_value());
+    EXPECT_TRUE(cache.lookupText(a).has_value());
+    EXPECT_FALSE(cache.lookupText(b).has_value());
+}
+
+/**
+ * The reference model of `ResultCache`: one recency list, and a
+ * memory tier that holds the texts of entries that came in (stored
+ * or served from disk) up to the byte budget, dropping the least
+ * recently used ones first. Object files the test removed are
+ * `lost`.
+ */
+struct CacheModel
+{
+    std::size_t maxEntries = 0;
+    std::list<int> order; // most recent first
+    std::map<int, std::string> texts;
+    std::set<int> held;
+    std::size_t heldBytes = 0;
+    std::set<int> lost;
+    ResultCacheStats stats;
+
+    void release(int id)
+    {
+        if (held.erase(id))
+            heldBytes -= texts.at(id).size();
+    }
+
+    void touch(int id)
+    {
+        order.remove(id);
+        order.push_front(id);
+        const std::size_t size = texts.at(id).size();
+        if (!held.count(id) && size <= ResultCache::kMemoryTierBytes) {
+            held.insert(id);
+            heldBytes += size;
+        }
+        for (auto it = order.rbegin();
+             heldBytes > ResultCache::kMemoryTierBytes; ++it)
+            release(*it);
+    }
+
+    void drop(int id)
+    {
+        release(id);
+        order.remove(id);
+        texts.erase(id);
+        lost.erase(id);
+    }
+
+    void store(int id, const std::string &text)
+    {
+        release(id);
+        texts[id] = text;
+        lost.erase(id);
+        touch(id);
+        while (maxEntries != 0 && order.size() > maxEntries) {
+            drop(order.back());
+            ++stats.evictions;
+        }
+    }
+
+    /** The text a lookup of @p id answers, or nullopt. */
+    std::optional<std::string> lookup(int id)
+    {
+        const bool indexed = texts.count(id) != 0;
+        if (!indexed || (!held.count(id) && lost.count(id))) {
+            if (indexed)
+                drop(id);
+            ++stats.misses;
+            return std::nullopt;
+        }
+        ++stats.hits;
+        touch(id);
+        return texts.at(id);
+    }
+
+    /** A reopened cache: an empty memory tier, lost entries gone. */
+    void reopen()
+    {
+        const std::set<int> gone = lost;
+        for (const int id : gone)
+            drop(id);
+        held.clear();
+        heldBytes = 0;
+    }
+};
+
+TEST_F(ResultCacheTest, RandomOperationsMatchAReferenceModel)
+{
+    // Stores, lookups, removed objects and reopens against the
+    // model. Texts of a third of the memory tier, and larger than
+    // it, make the tier drop texts; once the objects are removed,
+    // lookups show which texts the tier still holds.
+    constexpr std::size_t kTier = ResultCache::kMemoryTierBytes;
+    std::mt19937 rng(20240611);
+    for (std::size_t max_entries = 1; max_entries <= 8; ++max_entries) {
+        SCOPED_TRACE(max_entries);
+        std::filesystem::remove_all(dir_);
+        CacheModel model;
+        model.maxEntries = max_entries;
+        ResultCacheStats closed; // counters of reopened caches
+        auto cache = std::make_unique<ResultCache>(
+            ResultCacheOptions{dirStr(), max_entries});
+
+        for (int op = 0; op < 300; ++op) {
+            const int id = static_cast<int>(rng() % 6);
+            const std::string key = sha256Hex(std::to_string(id));
+            const unsigned roll = rng() % 100;
+            if (roll < 40) {
+                const unsigned size_roll = rng() % 100;
+                const std::size_t pad = size_roll < 60   ? 16
+                                        : size_roll < 95 ? kTier / 3
+                                                         : kTier + 1;
+                const std::string text =
+                    R"({"op":)" + std::to_string(op) + R"(,"pad":")" +
+                    std::string(pad, 'p') + "\"}";
+                cache->storeText(key, text);
+                model.store(id, text);
+            } else if (roll < 80) {
+                const auto expected = model.lookup(id);
+                const auto got = cache->lookupText(key);
+                ASSERT_EQ(got.has_value(), expected.has_value())
+                    << "op " << op;
+                if (got) {
+                    EXPECT_EQ(*got, *expected) << "op " << op;
+                }
+            } else if (roll < 85) {
+                // Every object goes: only the memory tier answers.
+                for (const auto &[lost_id, text] : model.texts) {
+                    std::filesystem::remove(
+                        objectPath(sha256Hex(std::to_string(lost_id))));
+                    model.lost.insert(lost_id);
+                }
+            } else {
+                cache->flushIndex();
+                closed.hits += cache->stats().hits;
+                closed.misses += cache->stats().misses;
+                closed.evictions += cache->stats().evictions;
+                cache.reset();
+                cache = std::make_unique<ResultCache>(
+                    ResultCacheOptions{dirStr(), max_entries});
+                model.reopen();
+            }
+            const ResultCacheStats &got = cache->stats();
+            ASSERT_EQ(closed.hits + got.hits, model.stats.hits)
+                << "op " << op;
+            ASSERT_EQ(closed.misses + got.misses, model.stats.misses)
+                << "op " << op;
+            ASSERT_EQ(closed.evictions + got.evictions,
+                      model.stats.evictions)
+                << "op " << op;
+            ASSERT_EQ(got.entries, model.order.size()) << "op " << op;
+        }
+    }
+}
+
+TEST_F(ResultCacheTest, ConcurrentWritersOfOneKeyLeaveOneValidObject)
+{
+    // Two engine workers may finish the same request at once.
+    const ResultCache cache({dirStr(), 0});
+    const std::string key = sha256Hex("contended");
+    const std::string texts[] = {R"({"writer":0})", R"({"writer":1})"};
+    std::vector<std::thread> writers;
+    for (const std::string &text : texts)
+        writers.emplace_back([&cache, &key, &text] {
+            for (int i = 0; i < 200; ++i)
+                cache.writeObject(key, text);
+        });
+    for (auto &writer : writers)
+        writer.join();
+
+    const std::string object = readObject(key);
+    EXPECT_TRUE(object == texts[0] + "\n" || object == texts[1] + "\n")
+        << object;
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             objectPath(key).parent_path()))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{key + ".json"});
+}
+
+TEST_F(ResultCacheTest, EvictionBetweenTwoStoresOfOneKeyKeepsTheIndexTrue)
+{
+    // Two workers computed k; both wrote its object before the
+    // loop admitted either, and j's store evicted k in between,
+    // removing the object. The second admit must not index k.
+    ResultCache cache({dirStr(), 1});
+    const std::string k = sha256Hex("k"), j = sha256Hex("j");
+    const std::string text = R"({"detail":"x"})";
+    cache.writeObject(k, text);
+    cache.writeObject(k, text);
+    cache.admit(k, text);
+    cache.storeText(j, text);
+    ASSERT_FALSE(std::filesystem::exists(objectPath(k)));
+    cache.admit(k, text);
+
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_FALSE(cache.lookupText(k).has_value());
+    EXPECT_TRUE(cache.lookupText(j).has_value());
 }
 
 #if ECOCHIP_TEST_HAS_FORK
@@ -254,7 +634,7 @@ TEST_F(ResultCacheTest, ShortWriteIsNeverRenamedIntoPlace)
     const auto object =
         dir_ / "objects" / key.substr(0, 2) / (key + ".json");
     EXPECT_FALSE(std::filesystem::exists(object));
-    // The temp is `<key>.json.tmp.<pid of the child>`.
+    // The temp is `<key>.json.tmp.<pid of the child>.<n>`.
     const std::string tempPrefix = key + ".json.tmp.";
     if (std::filesystem::exists(object.parent_path())) {
         for (const auto &entry : std::filesystem::directory_iterator(

@@ -4,12 +4,21 @@
  * planar package (HBM-style towers).
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/ecochip.h"
 #include "core/testcases.h"
+#include "json/json.h"
 #include "package/package_model.h"
+#include "session/analysis_session.h"
 #include "support/error.h"
+
+#ifndef ECOCHIP_DATA_DIR
+#define ECOCHIP_DATA_DIR ""
+#endif
 
 namespace ecochip {
 namespace {
@@ -164,6 +173,86 @@ TEST_F(StackGroupTest, Ga102HbmEndToEnd)
     // Smaller memory dies also yield better -> mfg carbon of the
     // HBM config does not exceed the planar split's.
     EXPECT_LE(hbm.mfgCo2Kg, planar.mfgCo2Kg + 1e-9);
+}
+
+/** Scenario @p name of `data/scenarios/carbon_golden_catalog.json`
+ *  with its architecture passed through @p edit, registered as
+ *  @p name (the catalog's other scenarios are left out). */
+template <typename Edit>
+AnalysisSession
+goldenVariant(const std::string &name, Edit edit)
+{
+    const json::Value catalog =
+        json::parseFile(std::string(ECOCHIP_DATA_DIR) +
+                        "/scenarios/carbon_golden_catalog.json");
+    for (json::Value scenario : catalog.at("scenarios").asArray()) {
+        if (scenario.at("name").asString() != name)
+            continue;
+        json::Value architecture = scenario.at("architecture");
+        edit(architecture);
+        scenario.set("architecture", std::move(architecture));
+        json::Value doc = json::Value::makeObject();
+        doc.set("scenarios", json::Value::makeArray({scenario}));
+        ScenarioRegistry registry;
+        registry.loadJson(doc, "golden variant");
+        return ScenarioBuilder().registry(registry).scenario(name).build();
+    }
+    throw ConfigError("no golden scenario " + name);
+}
+
+/** The ConfigError message @p run throws, or "" when it succeeds. */
+template <typename Run>
+std::string
+configErrorOf(Run run)
+{
+    try {
+        run();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(StackGroupRequests, OneTierGroupFailsEstimateAndCost)
+{
+    // ga102-hbm-bridge with its hbm0 tower cut to one tier. The cost
+    // model once floorplanned it and answered.
+    const AnalysisSession session =
+        goldenVariant("ga102-hbm-bridge", [](json::Value &arch) {
+            std::vector<json::Value> kept;
+            for (const json::Value &chiplet :
+                 arch.at("chiplets").asArray())
+                if (chiplet.at("name").asString().find("hbm0-t") ==
+                        std::string::npos ||
+                    chiplet.at("name").asString() == "hbm0-t0")
+                    kept.push_back(chiplet);
+            arch.set("chiplets", json::Value::makeArray(kept));
+        });
+    const std::string expected =
+        "stack group \"hbm0\" needs at least two tiers";
+    EXPECT_NE(configErrorOf([&] { session.estimate(); }).find(expected),
+              std::string::npos);
+    EXPECT_NE(configErrorOf([&] { session.cost(); }).find(expected),
+              std::string::npos);
+}
+
+TEST(StackGroupRequests, YieldModelSetsChipletYieldsOnly)
+{
+    // `yield_model` reaches the chiplet dies of the carbon model;
+    // the active interposer keeps the negative binomial yield.
+    std::vector<double> digital_yields;
+    for (const char *model : {"murphy", "negative_binomial", "poisson"}) {
+        SCOPED_TRACE(model);
+        const AnalysisSession session = goldenVariant(
+            "ga102-hbm-active", [model](json::Value &arch) {
+                arch.set("yield_model", std::string(model));
+            });
+        const CarbonReport report = *session.estimate().report;
+        EXPECT_EQ(report.hi.packageYield, 0.6101091014087885);
+        digital_yields.push_back(report.chiplets.front().yield);
+    }
+    EXPECT_NE(digital_yields[0], digital_yields[1]);
+    EXPECT_NE(digital_yields[1], digital_yields[2]);
 }
 
 } // namespace
